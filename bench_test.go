@@ -462,14 +462,16 @@ func BenchmarkE9_NetworkSimulation(b *testing.B) {
 
 // ---- Ablation benches (design choices called out in DESIGN.md) ----
 
-// BenchmarkA1_DeadlockHandlingAblation compares 2PL's waits-for-graph
-// deadlock detection against the timeout-only fallback on an
-// upgrade-deadlock-prone hotspot: detection aborts victims immediately,
-// timeouts stall every deadlocked transaction for the full lock timeout.
+// BenchmarkA1_DeadlockHandlingAblation compares 2PL's three deadlock
+// policies on an upgrade-deadlock-prone hotspot: wait-die aborts the
+// younger side of every conflict at request time (no deadlock can form),
+// waits-for-graph detection aborts a victim once a local cycle closes, and
+// timeout-only stalls every deadlocked transaction for the full lock
+// timeout.
 func BenchmarkA1_DeadlockHandlingAblation(b *testing.B) {
-	run := func(noDetect bool) wlg.Result {
+	run := func(policy string) wlg.Result {
 		inst := newBenchInstance(b, 3, 4, schema.Protocols{
-			RCP: "qc", CCP: "2pl", ACP: "2pc", NoDeadlockDetection: noDetect,
+			RCP: "qc", CCP: "2pl", ACP: "2pc", Deadlock: policy,
 		}, benchNet)
 		res := inst.RunWorkload(context.Background(), wlg.Profile{
 			Transactions: 80, MPL: 6, OpsPerTx: 3, ReadFraction: 0.5, Retries: 4, HotItems: 2,
@@ -478,18 +480,15 @@ func BenchmarkA1_DeadlockHandlingAblation(b *testing.B) {
 		return res
 	}
 	for i := 0; i < b.N; i++ {
-		det := run(false)
-		timeoutOnly := run(true)
-		if i == 0 {
-			b.Logf("detection:    %6.1f tx/s, mean %v, commit %.2f",
-				det.Throughput(), det.MeanLatency().Round(time.Microsecond), det.CommitRate())
-			b.Logf("timeout-only: %6.1f tx/s, mean %v, commit %.2f",
-				timeoutOnly.Throughput(), timeoutOnly.MeanLatency().Round(time.Microsecond), timeoutOnly.CommitRate())
+		for _, policy := range []string{"wait-die", "detect", "timeout"} {
+			res := run(policy)
+			if i == 0 {
+				b.Logf("%-9s %6.1f tx/s, mean %v, commit %.2f",
+					policy+":", res.Throughput(), res.MeanLatency().Round(time.Microsecond), res.CommitRate())
+			}
+			b.ReportMetric(res.Throughput(), policy+"-tx/s")
+			b.ReportMetric(float64(res.MeanLatency().Microseconds()), policy+"-mean-µs")
 		}
-		b.ReportMetric(det.Throughput(), "detect-tx/s")
-		b.ReportMetric(timeoutOnly.Throughput(), "timeout-only-tx/s")
-		b.ReportMetric(float64(det.MeanLatency().Microseconds()), "detect-mean-µs")
-		b.ReportMetric(float64(timeoutOnly.MeanLatency().Microseconds()), "timeout-only-mean-µs")
 	}
 }
 
@@ -630,7 +629,9 @@ func BenchmarkLockContention(b *testing.B) {
 	}
 	for _, shards := range benchShardCounts() {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			m := lock.New(lock.Options{Timeout: 5 * time.Second, Shards: shards})
+			// Detect: every request here is eventually granted (global
+			// order), so the bench times grants and waits, not aborts.
+			m := lock.New(lock.Options{Timeout: 5 * time.Second, Shards: shards, Policy: lock.Detect})
 			var ctr atomic.Uint64
 			ctx := context.Background()
 			forceParallelism(b, 8)
@@ -647,8 +648,9 @@ func BenchmarkLockContention(b *testing.B) {
 					if n%4 == 0 {
 						mode = lock.Exclusive
 					}
-					if err := m.Acquire(ctx, id, ids[i], mode); err == nil && j != i {
-						m.Acquire(ctx, id, ids[j], mode)
+					ts := model.Timestamp{Time: n, Site: "B"}
+					if err := m.Acquire(ctx, id, ts, ids[i], mode); err == nil && j != i {
+						m.Acquire(ctx, id, ts, ids[j], mode)
 					}
 					m.ReleaseAll(id)
 				}
@@ -1059,36 +1061,45 @@ func (tb *termBench) reachable(site model.SiteID) error {
 	return nil
 }
 
-func (tb *termBench) Prepare(_ context.Context, site model.SiteID, req wire.PrepareReq) (wire.VoteResp, error) {
-	if err := tb.reachable(site); err != nil {
-		return wire.VoteResp{}, err
-	}
-	return tb.participants[site].HandlePrepare(req), nil
+// Deliver implements acp.Cohort; the coordinator is the first site.
+func (tb *termBench) Deliver(_ context.Context, msg acp.Msg) acp.Reply {
+	return tb.answer(tb.sites[0], msg)
 }
 
-func (tb *termBench) PreCommit(_ context.Context, site model.SiteID, tx model.TxID) error {
-	if err := tb.reachable(site); err != nil {
-		return err
+// Post implements acp.Cohort, answering before it returns.
+func (tb *termBench) Post(_ context.Context, site model.SiteID, msg acp.Msg, replies chan<- acp.Reply) (uint64, error) {
+	r := tb.answer(site, msg)
+	if msg.Phase == acp.PhaseEnd {
+		return 0, nil
 	}
-	return tb.participants[site].HandlePreCommit(tx)
+	replies <- r
+	return 1, nil
 }
 
-func (tb *termBench) Decide(_ context.Context, site model.SiteID, tx model.TxID, commit bool) error {
-	if tb.dropDecisions.Load() {
-		return fmt.Errorf("decision dropped")
-	}
-	if err := tb.reachable(site); err != nil {
-		return err
-	}
-	return tb.participants[site].HandleDecision(tx, commit)
-}
+// Forget implements acp.Cohort.
+func (tb *termBench) Forget(uint64) {}
 
-func (tb *termBench) End(_ context.Context, site model.SiteID, tx model.TxID) error {
-	if err := tb.reachable(site); err != nil {
-		return err
+func (tb *termBench) answer(site model.SiteID, msg acp.Msg) acp.Reply {
+	r := acp.Reply{Site: site}
+	if msg.Phase == acp.PhaseDecide && tb.dropDecisions.Load() {
+		r.Err = fmt.Errorf("decision dropped")
+		return r
 	}
-	tb.participants[site].Retire(tx)
-	return nil
+	if r.Err = tb.reachable(site); r.Err != nil {
+		return r
+	}
+	p := tb.participants[site]
+	switch msg.Phase {
+	case acp.PhasePrepare:
+		r.Vote = p.HandlePrepare(msg.Prepare)
+	case acp.PhasePreCommit:
+		r.Err = p.HandlePreCommit(msg.Tx)
+	case acp.PhaseDecide:
+		r.Err = p.HandleDecision(msg.Tx, msg.Commit)
+	case acp.PhaseEnd:
+		p.Retire(msg.Tx)
+	}
+	return r
 }
 
 func (tb *termBench) QueryDecision(_ context.Context, site model.SiteID, tx model.TxID, _ bool) (bool, bool, error) {

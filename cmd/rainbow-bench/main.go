@@ -62,6 +62,7 @@ func main() {
 	rcp := flag.String("rcp", "qc", "replica control protocol (roap/qc)")
 	ccp := flag.String("ccp", "2pl", "concurrency control protocol (2pl/tso/mvtso)")
 	acp := flag.String("acp", "2pc", "atomic commitment protocol (2pc/3pc)")
+	deadlock := flag.String("deadlock", "wait-die", "2PL deadlock policy (wait-die/detect/timeout)")
 	pipeOn := flag.Bool("pipeline", true, "per-shard command pipelines (false = synchronous ablation)")
 	pipeDepth := flag.Int("pipeline-depth", 0, "per-shard pipeline queue bound (0 = default)")
 	pipeBatch := flag.Int("pipeline-max-batch", 0, "pipeline sequencer batch cap (0 = default)")
@@ -87,7 +88,7 @@ func main() {
 		sites: *nSites, clients: *clients, duration: *duration,
 		zipf: *zipf, readRate: *readRate, addRate: *addRate, opsPerTx: *opsPerTx,
 		items: *items, hot: *hot, shards: *shards,
-		protocols: schema.Protocols{RCP: *rcp, CCP: *ccp, ACP: *acp, NoHotSplit: !*hotSplit},
+		protocols: schema.Protocols{RCP: *rcp, CCP: *ccp, ACP: *acp, Deadlock: *deadlock, NoHotSplit: !*hotSplit},
 		pipeline:  schema.PipelinePolicy{Disable: !*pipeOn, Depth: *pipeDepth, MaxBatch: *pipeBatch},
 		netOpts:   tcpnet.Options{LegacyFraming: *netLegacy, MaxBatch: *netMaxBatch, FlushDelay: *netFlushDelay, Codec: *netCodec},
 		seed:      *seed, name: *name,
@@ -115,6 +116,8 @@ func main() {
 			int64(res.Metrics["cc-adds"]), int64(res.Metrics["cc-split-adds"]),
 			int64(res.Metrics["cc-splits"]), int64(res.Metrics["cc-drains"]))
 	}
+	fmt.Printf("  cc give-ups: %d wait-die aborts, %d deadlocks, %d lock timeouts\n",
+		int64(res.Metrics["cc-wait-dies"]), int64(res.Metrics["cc-deadlocks"]), int64(res.Metrics["cc-lock-timeouts"]))
 	fmt.Print(res.traceReport)
 
 	if *out != "" {
@@ -283,6 +286,9 @@ func run(bc benchConfig) (result, error) {
 		totals.CCSplitAdds += s.CCSplitAdds
 		totals.CCSplits += s.CCSplits
 		totals.CCDrains += s.CCDrains
+		totals.CCWaitDies += s.CCWaitDies
+		totals.CCDeadlocks += s.CCDeadlocks
+		totals.CCLockTimeouts += s.CCLockTimeouts
 	}
 
 	metrics := map[string]float64{
@@ -306,6 +312,9 @@ func run(bc benchConfig) (result, error) {
 		"cc-split-adds":       float64(totals.CCSplitAdds),
 		"cc-splits":           float64(totals.CCSplits),
 		"cc-drains":           float64(totals.CCDrains),
+		"cc-wait-dies":        float64(totals.CCWaitDies),
+		"cc-deadlocks":        float64(totals.CCDeadlocks),
+		"cc-lock-timeouts":    float64(totals.CCLockTimeouts),
 	}
 	res := result{Name: bc.name, Iterations: committed + aborted, Metrics: metrics}
 	if bc.traceN > 0 {

@@ -13,7 +13,10 @@ package acp
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/model"
@@ -67,31 +70,127 @@ func StateName(s uint8) string {
 // abort statistics must not count an unresolved outcome as a clean abort.
 var ErrInDoubt = &model.AbortError{Cause: model.AbortInDoubt, Reason: "3pc: outcome unresolved (pre-commit quorum unreachable); quorum termination will decide"}
 
-// Cohort is the coordinator's transport face: how it reaches participants.
-// The site implements it over the wire layer (with a loopback fast path for
-// itself).
-type Cohort interface {
-	// Prepare delivers phase-1 and returns the participant's vote.
-	Prepare(ctx context.Context, site model.SiteID, req wire.PrepareReq) (wire.VoteResp, error)
-	// PreCommit delivers the 3PC pre-commit and waits for its ack. The ack
-	// means the participant FORCED its pre-committed state: the
-	// coordinator may decide commit only after a majority of the
-	// electorate acked (the commit quorum any later termination must
-	// intersect).
-	PreCommit(ctx context.Context, site model.SiteID, tx model.TxID) error
-	// Decide delivers the final decision and waits for its ack.
-	Decide(ctx context.Context, site model.SiteID, tx model.TxID, commit bool) error
-	// End tells a participant the whole cohort acknowledged the decision,
-	// so it may retire its decision-table entry. Best-effort and
-	// fire-and-forget: the coordinator is the resort of record (it retains
-	// its own entry until every ack is in), so a lost end message costs
-	// only a lingering table entry, never a wrong resolution.
-	End(ctx context.Context, site model.SiteID, tx model.TxID) error
+// Phase names the coordinator message a round delivers.
+type Phase uint8
+
+// Coordinator message phases.
+const (
+	// PhasePrepare is phase 1: the reply carries the participant's vote.
+	PhasePrepare Phase = iota + 1
+	// PhasePreCommit is 3PC's pre-commit. Its ack means the participant
+	// FORCED its pre-committed state: the coordinator may decide commit
+	// only after a majority of the electorate acked (the commit quorum any
+	// later termination must intersect).
+	PhasePreCommit
+	// PhaseDecide delivers the final decision; its ack means it applied.
+	PhaseDecide
+	// PhaseEnd tells a participant the whole cohort acknowledged the
+	// decision, so it may retire its decision-table entry. Best-effort and
+	// one-way: the coordinator is the resort of record (it retains its own
+	// entry until every ack is in), so a lost end message costs only a
+	// lingering table entry, never a wrong resolution.
+	PhaseEnd
+)
+
+// Msg is one coordinator message to one participant.
+type Msg struct {
+	Phase   Phase
+	Tx      model.TxID
+	Prepare wire.PrepareReq // PhasePrepare only
+	Commit  bool            // PhaseDecide only
 }
 
-// Options bounds the coordinator's waits.
+// Reply is one participant's answer to a Msg: the vote for PhasePrepare,
+// an ack (Err nil) for the other phases.
+type Reply struct {
+	Site model.SiteID
+	Vote wire.VoteResp
+	Err  error
+}
+
+// Cohort is the coordinator's transport face: how it reaches participants.
+// The site implements it over the wire layer, delivering to itself
+// directly.
+type Cohort interface {
+	// Deliver runs msg at the coordinator's own site, inline.
+	Deliver(ctx context.Context, msg Msg) Reply
+	// Post sends msg to a remote participant and returns without waiting.
+	// Its reply arrives on replies later, unless Forget(call) runs first;
+	// the sender must not block, so the caller keeps a free slot in replies
+	// for every message in flight. A PhaseEnd message expects no reply:
+	// nothing arrives and call is 0. An error means nothing was sent.
+	Post(ctx context.Context, site model.SiteID, msg Msg, replies chan<- Reply) (call uint64, err error)
+	// Forget abandons a posted message: a reply arriving later is dropped.
+	Forget(call uint64)
+}
+
+// errNoReply is the reply of a participant that did not answer within its
+// round.
+var errNoReply = errors.New("acp: no reply within the round's timeout")
+
+// round delivers one message to every site in sites at once and returns
+// the replies in sites order. It posts every remote message first,
+// delivers the coordinator's own (self) inline, then collects the remote
+// replies on one channel until all are in, timeout passes or ctx ends
+// (wire.Collect): one timer per round, no goroutine or timeout context per
+// participant. Messages still unanswered when the round ends are forgotten
+// (a late reply is dropped) and carry errNoReply, or ctx's error. One-way
+// messages are not waited for.
+func round(ctx context.Context, c Cohort, self model.SiteID, sites []model.SiteID, msgFor func(model.SiteID) Msg, timeout time.Duration) []Reply {
+	out := make([]Reply, len(sites))
+	calls := make([]uint64, len(sites)) // nonzero while a reply is awaited
+	pending, local := 0, -1
+	var replies chan Reply
+	for i, site := range sites {
+		out[i].Site = site
+		if site == self {
+			local = i
+			continue
+		}
+		if replies == nil {
+			replies = make(chan Reply, len(sites))
+		}
+		call, err := c.Post(ctx, site, msgFor(site), replies)
+		if err != nil {
+			out[i].Err = err
+			continue
+		}
+		if calls[i] = call; call != 0 {
+			pending++
+		}
+	}
+	if pending > 0 && local >= 0 {
+		// The sends woke the connections' writer goroutines, the last one
+		// into this P's run-next slot, where it would wait until this
+		// goroutine blocks — for the coordinator's own prepare, behind a
+		// WAL fsync that keeps the P for a while. Yield so the messages
+		// flush first.
+		runtime.Gosched()
+	}
+	if local >= 0 {
+		out[local] = c.Deliver(ctx, msgFor(self))
+		out[local].Site = self
+	}
+	wire.Collect(ctx, replies, pending, timeout, func(r Reply) bool {
+		i := slices.Index(sites, r.Site)
+		out[i], calls[i] = r, 0
+		return true
+	})
+	for i, call := range calls {
+		if call != 0 {
+			c.Forget(call)
+			out[i].Err = errNoReply
+			if err := ctx.Err(); err != nil {
+				out[i].Err = err
+			}
+		}
+	}
+	return out
+}
+
+// Options bounds the coordinator's waits, one deadline per round.
 type Options struct {
-	// Vote bounds the wait for each participant's vote.
+	// Vote bounds the wait for the participants' votes.
 	Vote time.Duration
 	// Ack bounds the wait for decision / pre-commit acknowledgements.
 	Ack time.Duration

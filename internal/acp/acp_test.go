@@ -29,6 +29,7 @@ type fakeCohort struct {
 	decisions     int
 	precommits    int
 	ends          int
+	calls         uint64
 }
 
 func newFakeCohort() *fakeCohort {
@@ -49,61 +50,74 @@ func (f *fakeCohort) add(site model.SiteID, a Applier) *Participant {
 	return p
 }
 
-func (f *fakeCohort) Prepare(ctx context.Context, site model.SiteID, req wire.PrepareReq) (wire.VoteResp, error) {
+// answer runs msg at site the way its participant would; ok is false when
+// the site stays silent (down, or dropping this phase), which leaves the
+// coordinator's round to its deadline.
+func (f *fakeCohort) answer(site model.SiteID, msg Msg) (r Reply, ok bool) {
 	f.mu.Lock()
-	f.prepares++
-	down, no := f.down[site], f.voteNo[site]
 	p := f.participants[site]
+	silent := f.down[site]
+	switch msg.Phase {
+	case PhasePrepare:
+		f.prepares++
+		if f.voteNo[site] && !silent {
+			f.mu.Unlock()
+			return Reply{Site: site, Vote: wire.VoteResp{Yes: false, Reason: "injected"}}, true
+		}
+	case PhasePreCommit:
+		f.precommits++
+		silent = silent || f.dropPreCommit[site]
+	case PhaseDecide:
+		f.decisions++
+		silent = silent || f.dropDecision[site]
+	case PhaseEnd:
+		f.ends++
+	}
 	f.mu.Unlock()
-	if down {
-		<-ctx.Done()
-		return wire.VoteResp{}, ctx.Err()
+	if silent {
+		return Reply{}, false
 	}
-	if no {
-		return wire.VoteResp{Yes: false, Reason: "injected"}, nil
+	r.Site = site
+	switch msg.Phase {
+	case PhasePrepare:
+		r.Vote = p.HandlePrepare(msg.Prepare)
+	case PhasePreCommit:
+		r.Err = p.HandlePreCommit(msg.Tx)
+	case PhaseDecide:
+		r.Err = p.HandleDecision(msg.Tx, msg.Commit)
+	case PhaseEnd:
+		p.Retire(msg.Tx)
 	}
-	return p.HandlePrepare(req), nil
+	return r, true
 }
 
-func (f *fakeCohort) PreCommit(ctx context.Context, site model.SiteID, tx model.TxID) error {
-	f.mu.Lock()
-	f.precommits++
-	down := f.down[site] || f.dropPreCommit[site]
-	p := f.participants[site]
-	f.mu.Unlock()
-	if down {
-		<-ctx.Done()
-		return ctx.Err()
+// fakeCoordinator is the coordinator site of every fake-cohort test.
+const fakeCoordinator = "S1"
+
+func (f *fakeCohort) Deliver(ctx context.Context, msg Msg) Reply {
+	if r, ok := f.answer(fakeCoordinator, msg); ok {
+		return r
 	}
-	return p.HandlePreCommit(tx)
+	<-ctx.Done() // a silent local leg blocks like a stuck participant
+	return Reply{Site: fakeCoordinator, Err: ctx.Err()}
 }
 
-func (f *fakeCohort) Decide(ctx context.Context, site model.SiteID, tx model.TxID, commit bool) error {
+func (f *fakeCohort) Post(_ context.Context, site model.SiteID, msg Msg, replies chan<- Reply) (uint64, error) {
 	f.mu.Lock()
-	f.decisions++
-	blocked := f.down[site] || f.dropDecision[site]
-	p := f.participants[site]
+	f.calls++
+	call := f.calls
 	f.mu.Unlock()
-	if blocked {
-		<-ctx.Done()
-		return ctx.Err()
+	r, ok := f.answer(site, msg)
+	if msg.Phase == PhaseEnd {
+		return 0, nil
 	}
-	return p.HandleDecision(tx, commit)
+	if ok {
+		replies <- r
+	}
+	return call, nil
 }
 
-func (f *fakeCohort) End(ctx context.Context, site model.SiteID, tx model.TxID) error {
-	f.mu.Lock()
-	f.ends++
-	down := f.down[site]
-	p := f.participants[site]
-	f.mu.Unlock()
-	if down {
-		<-ctx.Done()
-		return ctx.Err()
-	}
-	p.Retire(tx)
-	return nil
-}
+func (f *fakeCohort) Forget(uint64) {}
 
 // fakeApplier records what was committed/aborted.
 type fakeApplier struct {

@@ -3,7 +3,6 @@ package acp
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -90,30 +89,9 @@ func (ThreePC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, 
 	return true, nil
 }
 
-// broadcastPreCommit fans the pre-commit out to the cohort and reports how
-// many members acknowledged (= durably pre-committed) within the ack
-// timeout.
+// broadcastPreCommit delivers the pre-commit to the cohort in one round
+// and reports how many members acknowledged (= durably pre-committed)
+// within the ack timeout.
 func broadcastPreCommit(ctx context.Context, c Cohort, opts Options, req Request, cohort []model.SiteID) int {
-	acked := make(chan bool, len(cohort))
-	for _, site := range cohort {
-		go func(site model.SiteID) {
-			pctx, cancel := context.WithTimeout(ctx, opts.Ack)
-			defer cancel()
-			acked <- c.PreCommit(pctx, site, req.Tx) == nil
-		}(site)
-	}
-	// Wait for the round to drain (bounded by opts.Ack per participant).
-	deadline := time.After(opts.Ack + 100*time.Millisecond)
-	n := 0
-	for range cohort {
-		select {
-		case ok := <-acked:
-			if ok {
-				n++
-			}
-		case <-deadline:
-			return n
-		}
-	}
-	return n
+	return acks(ctx, c, opts, req, cohort, Msg{Phase: PhasePreCommit, Tx: req.Tx})
 }

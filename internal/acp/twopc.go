@@ -62,101 +62,79 @@ func (TwoPC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, re
 	return false, model.Abortf(model.AbortACP, "2pc: aborted")
 }
 
-// collectVotes runs phase 1 concurrently and reports the decision plus the
+// collectVotes runs phase 1 as one round and reports the decision plus the
 // phase-2 cohort (participants that voted read-only are released and
 // excluded). The returned error classifies a negative outcome (vote no,
 // unreachable participant, coordinator cancellation).
 func collectVotes(ctx context.Context, c Cohort, opts Options, req Request, threePhase bool) (bool, []model.SiteID, error) {
-	type voteResult struct {
-		site model.SiteID
-		resp wire.VoteResp
-		err  error
+	prepare := func(site model.SiteID) Msg {
+		var incarnation uint64
+		if req.IncarnationFor != nil {
+			incarnation = req.IncarnationFor(site)
+		}
+		return Msg{Phase: PhasePrepare, Tx: req.Tx, Prepare: wire.PrepareReq{
+			Tx:            req.Tx,
+			TS:            req.TS,
+			Coordinator:   req.Coordinator,
+			Writes:        req.WritesFor(site),
+			Participants:  req.Participants,
+			Voters:        req.Voters,
+			ThreePhase:    threePhase,
+			NoReadOnlyOpt: req.NoReadOnlyOpt,
+			Epoch:         req.Epoch,
+			Incarnation:   incarnation,
+		}}
 	}
-	results := make(chan voteResult, len(req.Participants))
-	for _, site := range req.Participants {
-		go func(site model.SiteID) {
-			vctx, cancel := context.WithTimeout(ctx, opts.Vote)
-			defer cancel()
-			var incarnation uint64
-			if req.IncarnationFor != nil {
-				incarnation = req.IncarnationFor(site)
-			}
-			resp, err := c.Prepare(vctx, site, wire.PrepareReq{
-				Tx:            req.Tx,
-				TS:            req.TS,
-				Coordinator:   req.Coordinator,
-				Writes:        req.WritesFor(site),
-				Participants:  req.Participants,
-				Voters:        req.Voters,
-				ThreePhase:    threePhase,
-				NoReadOnlyOpt: req.NoReadOnlyOpt,
-				Epoch:         req.Epoch,
-				Incarnation:   incarnation,
-			})
-			results <- voteResult{site: site, resp: resp, err: err}
-		}(site)
-	}
-
 	commit := true
 	var cohort []model.SiteID
 	var cause error
-	for range req.Participants {
-		r := <-results
+	for _, r := range round(ctx, c, req.Coordinator, req.Participants, prepare, opts.Vote) {
 		switch {
-		case r.err != nil:
+		case r.Err != nil:
 			commit = false
-			cohort = append(cohort, r.site)
+			cohort = append(cohort, r.Site)
 			if cause == nil {
-				cause = model.Abortf(model.AbortACP, "prepare at %s failed: %v", r.site, r.err)
+				cause = model.Abortf(model.AbortACP, "prepare at %s failed: %v", r.Site, r.Err)
 			}
-		case !r.resp.Yes:
+		case !r.Vote.Yes:
 			commit = false
-			cohort = append(cohort, r.site)
+			cohort = append(cohort, r.Site)
 			if cause == nil {
-				cause = model.Abortf(model.AbortACP, "%s voted no: %s", r.site, r.resp.Reason)
+				cause = model.Abortf(model.AbortACP, "%s voted no: %s", r.Site, r.Vote.Reason)
 			}
-		case r.resp.ReadOnly:
+		case r.Vote.ReadOnly:
 			// Released at vote time; no phase 2 for this site.
 		default:
-			cohort = append(cohort, r.site)
+			cohort = append(cohort, r.Site)
 		}
 	}
 	return commit, cohort, cause
 }
 
-// broadcastEnd fans the cohort-fully-acknowledged signal out to the
-// participants, fire-and-forget: the goroutines detach from the caller's
-// context (the transaction is already committed and its context may die
-// with it) and each send is bounded by the ack timeout. Losses are
-// harmless — see Cohort.End.
+// broadcastEnd sends the cohort-fully-acknowledged signal to the
+// participants, fire-and-forget and detached from the caller's context (the
+// transaction is already committed and its context may die with it).
+// Losses are harmless — see PhaseEnd.
 func broadcastEnd(ctx context.Context, c Cohort, opts Options, req Request, cohort []model.SiteID) {
-	base := context.WithoutCancel(ctx)
-	for _, site := range cohort {
-		go func(site model.SiteID) {
-			ectx, cancel := context.WithTimeout(base, opts.Ack)
-			defer cancel()
-			c.End(ectx, site, req.Tx) //nolint:errcheck // best-effort
-		}(site)
-	}
+	end := Msg{Phase: PhaseEnd, Tx: req.Tx}
+	round(context.WithoutCancel(ctx), c, req.Coordinator, cohort, func(model.SiteID) Msg { return end }, opts.Ack)
 }
 
-// broadcastDecision runs phase 2 concurrently over the voting cohort,
+// broadcastDecision runs phase 2 as one round over the voting cohort,
 // reporting whether every member acknowledged. Unacknowledged members
 // resolve later via decision requests.
 func broadcastDecision(ctx context.Context, c Cohort, opts Options, req Request, cohort []model.SiteID, commit bool) bool {
-	acked := make(chan bool, len(cohort))
-	for _, site := range cohort {
-		go func(site model.SiteID) {
-			actx, cancel := context.WithTimeout(ctx, opts.Ack)
-			defer cancel()
-			acked <- c.Decide(actx, site, req.Tx, commit) == nil
-		}(site)
-	}
-	all := true
-	for range cohort {
-		if !<-acked {
-			all = false
+	return acks(ctx, c, opts, req, cohort, Msg{Phase: PhaseDecide, Tx: req.Tx, Commit: commit}) == len(cohort)
+}
+
+// acks delivers msg to the cohort in one round bounded by the ack timeout
+// and counts the acknowledgements.
+func acks(ctx context.Context, c Cohort, opts Options, req Request, cohort []model.SiteID, msg Msg) int {
+	n := 0
+	for _, r := range round(ctx, c, req.Coordinator, cohort, func(model.SiteID) Msg { return msg }, opts.Ack) {
+		if r.Err == nil {
+			n++
 		}
 	}
-	return all
+	return n
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/lock"
 	"repro/internal/model"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -102,7 +103,8 @@ type Stats struct {
 	Reads      uint64
 	PreWrites  uint64
 	Rejections uint64 // timestamp rejections (TSO/MVTSO)
-	Deadlocks  uint64 // 2PL only
+	Deadlocks  uint64 // 2PL detect policy: waits-for cycles broken
+	WaitDies   uint64 // 2PL wait-die policy: younger requesters aborted
 	Timeouts   uint64 // lock or intent wait timeouts
 	Waits      uint64
 	Adds       uint64 // blind-add intents admitted (all managers)
@@ -116,8 +118,8 @@ type Options struct {
 	// LockTimeout bounds 2PL lock waits and TSO intent waits. Zero means
 	// DefaultLockTimeout.
 	LockTimeout time.Duration
-	// DisableDeadlockDetection leaves 2PL deadlocks to timeouts.
-	DisableDeadlockDetection bool
+	// Deadlock is 2PL's deadlock policy; the zero value is wait-die.
+	Deadlock lock.Policy
 	// Shards stripes the 2PL lock table; <= 0 selects the
 	// GOMAXPROCS-derived default (matches the storage shard knob).
 	Shards int

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lock"
 	"repro/internal/model"
 	"repro/internal/storage"
 )
@@ -205,8 +206,10 @@ func TestConformanceReinstateBlocksConflicts(t *testing.T) {
 
 // --- 2PL-specific ---
 
+// Test2PLConflictingWritersSerialize pins the detect policy: the second,
+// younger writer must wait for the first (under wait-die it would abort).
 func Test2PLConflictingWritersSerialize(t *testing.T) {
-	m := NewTwoPL(newStore(), Options{LockTimeout: time.Second})
+	m := NewTwoPL(newStore(), Options{LockTimeout: time.Second, Deadlock: lock.Detect})
 	if _, err := m.PreWrite(bg(), tx(1), ts(1), "x", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +234,9 @@ func Test2PLConflictingWritersSerialize(t *testing.T) {
 	}
 }
 
+// Test2PLDeadlockAborts exercises the detect policy's waits-for cycle.
 func Test2PLDeadlockAborts(t *testing.T) {
-	m := NewTwoPL(newStore(), Options{LockTimeout: time.Second})
+	m := NewTwoPL(newStore(), Options{LockTimeout: time.Second, Deadlock: lock.Detect})
 	if _, err := m.PreWrite(bg(), tx(1), ts(1), "x", 1); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lock"
 	"repro/internal/model"
 )
 
@@ -90,11 +91,14 @@ func TestConformanceAbortDiscardsAdd(t *testing.T) {
 
 // --- 2PL split execution ---
 
-// splitManager builds a TwoPL with a low split threshold for the tests.
+// splitManager builds a TwoPL with a low split threshold for the tests. It
+// pins the detect policy: the tests contend with younger transactions and
+// expect them to wait (under wait-die they would abort).
 func splitManager(threshold int) *TwoPL {
 	return NewTwoPL(newStore(), Options{
 		LockTimeout:    500 * time.Millisecond,
 		SplitThreshold: threshold,
+		Deadlock:       lock.Detect,
 	})
 }
 
@@ -231,6 +235,7 @@ func Test2PLNoSplitAblation(t *testing.T) {
 		LockTimeout:    500 * time.Millisecond,
 		SplitThreshold: 1,
 		NoSplit:        true,
+		Deadlock:       lock.Detect, // the younger adds must wait, not abort
 	})
 	holder := tx(1)
 	if _, err := m.PreAdd(bg(), holder, ts(1), "x", 1); err != nil {
@@ -428,4 +433,31 @@ func TestConformanceReinstateAddProtects(t *testing.T) {
 		m.Abort(tx(2))
 		m.Abort(tx(1))
 	}
+}
+
+// Test2PLWaitDieAddsStillSplit: under the default wait-die policy a younger
+// contending add aborts at once instead of spinning, but its contention
+// still feeds the split decision, so a hot item splits exactly as under the
+// other policies and later adds admit lock-free.
+func Test2PLWaitDieAddsStillSplit(t *testing.T) {
+	m := NewTwoPL(newStore(), Options{LockTimeout: 500 * time.Millisecond, SplitThreshold: 2})
+	holder := tx(100)
+	if _, err := m.PreAdd(bg(), holder, ts(100), "x", 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 2; i++ {
+		if _, err := m.PreAdd(bg(), tx(101+i), ts(101+i), "x", 1); model.CauseOf(err) != model.AbortCC {
+			t.Fatalf("younger contending add = %v, want a wait-die abort", err)
+		}
+	}
+	if err := m.Commit(holder, []model.WriteRecord{addRec("x", 1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.TryPreAdd(tx(1), ts(200), "x", 5); err != nil {
+		t.Fatalf("post-heat add: %v", err)
+	}
+	if s := m.Stats(); s.Splits != 1 || s.SplitAdds != 1 || s.WaitDies != 2 {
+		t.Fatalf("stats %+v: want one split, one split add and two wait-die aborts", s)
+	}
+	m.Abort(tx(1))
 }

@@ -14,9 +14,11 @@ import (
 )
 
 // TwoPL is strict two-phase locking: reads take shared locks, pre-writes
-// take exclusive locks, and every lock is held until Commit or Abort. With
-// the lock manager's waits-for-graph detection, local deadlocks abort the
-// requester immediately; distributed deadlocks fall to the wait timeout.
+// take exclusive locks, and every lock is held until Commit or Abort.
+// Deadlocks are handled by the lock manager's policy (lock.Policy): under
+// the default wait-die a younger conflicting requester aborts at once and
+// no deadlock can form, local or distributed; under detect local cycles
+// abort the requester and distributed ones fall to the wait timeout.
 //
 // The intent buffer is striped by item hash — the same placement math as
 // the lock table and the store — so concurrent transactions touching
@@ -114,10 +116,10 @@ func NewTwoPL(store *storage.Store, opts Options) *TwoPL {
 	m := &TwoPL{
 		store: store,
 		locks: lock.New(lock.Options{
-			Timeout:                  opts.LockTimeout,
-			DisableDeadlockDetection: opts.DisableDeadlockDetection,
-			Shards:                   opts.Shards,
-			Tracer:                   opts.Tracer,
+			Timeout: opts.LockTimeout,
+			Policy:  opts.Deadlock,
+			Shards:  opts.Shards,
+			Tracer:  opts.Tracer,
 		}),
 		opts:      opts,
 		intents:   make([]intentShard, n),
@@ -206,7 +208,7 @@ func (m *TwoPL) Read(ctx context.Context, tx model.TxID, ts model.Timestamp, ite
 	if err := m.checkFinished(tx); err != nil {
 		return 0, 0, err
 	}
-	if err := m.acquire(ctx, tx, item, lock.Shared); err != nil {
+	if err := m.acquire(ctx, tx, ts, item, lock.Shared); err != nil {
 		return 0, 0, err
 	}
 	if m.numSplit.Load() > 0 {
@@ -218,10 +220,11 @@ func (m *TwoPL) Read(ctx context.Context, tx model.TxID, ts model.Timestamp, ite
 }
 
 // TryRead implements Manager: grant the S-lock on the lock manager's fast
-// path or report would-block without queueing. A split item always reports
-// would-block — the blocking path must drain the slot first. (The grant, if
-// it happened, is kept: the same transaction's blocking retry re-acquires
-// it as a no-op, and commit/abort releases it either way.)
+// path, abort where wait-die would, or report would-block without
+// queueing. A split item always reports would-block — the blocking path
+// must drain the slot first. (The grant, if it happened, is kept: the same
+// transaction's blocking retry re-acquires it as a no-op, and commit/abort
+// releases it either way.)
 func (m *TwoPL) TryRead(tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, error) {
 	if err := m.checkFinished(tx); err != nil {
 		return 0, 0, err
@@ -229,8 +232,8 @@ func (m *TwoPL) TryRead(tx model.TxID, ts model.Timestamp, item model.ItemID) (i
 	if m.numSplit.Load() > 0 && m.isSplit(item) {
 		return 0, 0, ErrWouldBlock
 	}
-	if err := m.locks.TryAcquire(tx, item, lock.Shared); err != nil {
-		return 0, 0, ErrWouldBlock
+	if err := m.locks.TryAcquire(tx, ts, item, lock.Shared); err != nil {
+		return 0, 0, tryErr(err)
 	}
 	// Re-check after the grant: a split created concurrently checked the
 	// lock table for idleness, so of the two racing sides one always
@@ -270,7 +273,7 @@ func (m *TwoPL) PreWrite(ctx context.Context, tx model.TxID, ts model.Timestamp,
 	if err := m.checkFinished(tx); err != nil {
 		return 0, err
 	}
-	if err := m.acquire(ctx, tx, item, lock.Exclusive); err != nil {
+	if err := m.acquire(ctx, tx, ts, item, lock.Exclusive); err != nil {
 		return 0, err
 	}
 	if m.numSplit.Load() > 0 {
@@ -282,8 +285,8 @@ func (m *TwoPL) PreWrite(ctx context.Context, tx model.TxID, ts model.Timestamp,
 }
 
 // TryPreWrite implements Manager: grant the X-lock on the lock manager's
-// fast path or report would-block without queueing (split items always
-// would-block; see TryRead).
+// fast path, abort where wait-die would, or report would-block without
+// queueing (split items always would-block; see TryRead).
 func (m *TwoPL) TryPreWrite(tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, error) {
 	if err := m.checkFinished(tx); err != nil {
 		return 0, err
@@ -291,8 +294,8 @@ func (m *TwoPL) TryPreWrite(tx model.TxID, ts model.Timestamp, item model.ItemID
 	if m.numSplit.Load() > 0 && m.isSplit(item) {
 		return 0, ErrWouldBlock
 	}
-	if err := m.locks.TryAcquire(tx, item, lock.Exclusive); err != nil {
-		return 0, ErrWouldBlock
+	if err := m.locks.TryAcquire(tx, ts, item, lock.Exclusive); err != nil {
+		return 0, tryErr(err)
 	}
 	if m.numSplit.Load() > 0 && m.isSplit(item) {
 		return 0, ErrWouldBlock
@@ -309,17 +312,17 @@ func (m *TwoPL) TryPreWrite(tx model.TxID, ts model.Timestamp, item model.ItemID
 // keep a hot item's lock permanently non-idle, and the split — whose safety
 // check needs an idle instant — could never form. Instead the add retries
 // the non-blocking admission with backoff until it is admitted (by grant or
-// by split) or the lock timeout expires. Spinning adds are invisible to the
-// waits-for graph, so an add-add deadlock falls to the timeout; the exec
-// layer's sorted acquisition keeps multi-item transactions out of that
-// corner.
+// by split), aborted by wait-die, or the lock timeout expires. Under the
+// wait-die policy every retry re-applies the age test, so adds stay
+// deadlock-free too; under the other policies spinning adds are invisible
+// to the waits-for graph and an add-add deadlock falls to the timeout.
 func (m *TwoPL) PreAdd(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, error) {
 	if m.opts.NoSplit {
 		// Ablation baseline: adds behave exactly like absolute writes.
 		if err := m.checkFinished(tx); err != nil {
 			return 0, err
 		}
-		if err := m.acquire(ctx, tx, item, lock.Exclusive); err != nil {
+		if err := m.acquire(ctx, tx, ts, item, lock.Exclusive); err != nil {
 			return 0, err
 		}
 		return m.finishPreWrite(tx, item, wintent{value: delta, delta: true})
@@ -387,21 +390,32 @@ func (m *TwoPL) TryPreAdd(tx model.TxID, ts model.Timestamp, item model.ItemID, 
 		}
 		m.splitMu.Unlock()
 	}
-	if err := m.locks.TryAcquire(tx, item, lock.Exclusive); err == nil {
+	err := m.locks.TryAcquire(tx, ts, item, lock.Exclusive)
+	if err == nil {
 		m.holders.touch(tx)
 		return m.finishPreWrite(tx, item, wintent{value: delta, delta: true})
 	}
 	if m.opts.NoSplit {
-		return 0, ErrWouldBlock
+		return 0, tryErr(err)
 	}
-	// Contended: feed the split decision, so the retry splits the item the
-	// moment the current holder releases.
+	// Contended (a wait-die abort is contention too): feed the split
+	// decision, so a retry splits the item the moment the current holder
+	// releases.
 	m.splitMu.Lock()
 	if _, ok := m.splits[item]; !ok {
 		m.contended[item]++
 	}
 	m.splitMu.Unlock()
-	return 0, ErrWouldBlock
+	return 0, tryErr(err)
+}
+
+// tryErr maps a failed lock.TryAcquire onto the Manager's Try* contract:
+// would-block becomes ErrWouldBlock, a wait-die abort passes through.
+func tryErr(err error) error {
+	if errors.Is(err, lock.ErrWouldBlock) {
+		return ErrWouldBlock
+	}
+	return err
 }
 
 // splitItemLocked moves item into split execution. The caller holds splitMu
@@ -523,8 +537,8 @@ func (m *TwoPL) bufferIntent(tx model.TxID, item model.ItemID, in wintent) {
 	sh.mu.Unlock()
 }
 
-func (m *TwoPL) acquire(ctx context.Context, tx model.TxID, item model.ItemID, mode lock.Mode) error {
-	if err := m.locks.Acquire(ctx, tx, item, mode); err != nil {
+func (m *TwoPL) acquire(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, mode lock.Mode) error {
+	if err := m.locks.Acquire(ctx, tx, ts, item, mode); err != nil {
 		return err
 	}
 	m.holders.touch(tx)
@@ -638,13 +652,18 @@ func (m *TwoPL) HoldsIntents(tx model.TxID, items []model.ItemID) bool {
 // acquisition cannot block).
 func (m *TwoPL) Reinstate(tx model.TxID, ts model.Timestamp, writes []model.WriteRecord) error {
 	for _, w := range writes {
-		if err := m.locks.Acquire(context.Background(), tx, w.Item, lock.Exclusive); err != nil {
+		if err := m.locks.Acquire(context.Background(), tx, ts, w.Item, lock.Exclusive); err != nil {
 			return err
 		}
 	}
 	m.holders.touch(tx)
 	return nil
 }
+
+// Committing marks tx as having entered its commit protocol: it takes no
+// more locks, so under wait-die younger requesters may wait for its locks
+// instead of aborting (see lock.Manager.Committing).
+func (m *TwoPL) Committing(tx model.TxID) { m.locks.Committing(tx) }
 
 // SplitItems reports how many items are currently in split execution.
 func (m *TwoPL) SplitItems() int {
@@ -664,6 +683,7 @@ func (m *TwoPL) Stats() Stats {
 	ls := m.locks.Stats()
 	s.Waits = ls.Waits + m.addWaits.Load()
 	s.Deadlocks = ls.Deadlocks
+	s.WaitDies = ls.Dies
 	s.Timeouts = ls.Timeouts
 	return s
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/lock"
 	"repro/internal/model"
 	"repro/internal/storage"
 )
@@ -24,7 +25,9 @@ func TestTwoPLStripedIntentsConcurrent(t *testing.T) {
 	}
 	store := storage.NewSharded(8)
 	store.Init(items)
-	m := NewTwoPL(store, Options{Shards: 8})
+	// Detect: the workers carry no timestamps, and a worker that meets
+	// another's lock must wait for it, not abort.
+	m := NewTwoPL(store, Options{Shards: 8, Deadlock: lock.Detect})
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -80,7 +83,9 @@ func TestTwoPLAbortClearsIntentsAcrossStripes(t *testing.T) {
 	}
 	store := storage.NewSharded(8)
 	store.Init(items)
-	m := NewTwoPL(store, Options{Shards: 8})
+	// Detect: the workers carry no timestamps, and a worker that meets
+	// another's lock must wait for it, not abort.
+	m := NewTwoPL(store, Options{Shards: 8, Deadlock: lock.Detect})
 	ctx := context.Background()
 	tx := model.TxID{Site: "A", Seq: 1}
 	for _, id := range ids {

@@ -152,6 +152,16 @@ func WriteMetrics(w io.Writer, rep monitor.Report) {
 		func(s monitor.SiteStats) uint64 { return s.CCDrains })
 	gauge("rainbow_cc_split_items", "Items in split execution right now.",
 		func(s monitor.SiteStats) float64 { return float64(s.SplitItems) })
+	counter("rainbow_cc_waits_total", "CC requests that had to wait.",
+		func(s monitor.SiteStats) uint64 { return s.CCWaits })
+	counter("rainbow_cc_wait_die_aborts_total", "2PL requests aborted by wait-die for being younger.",
+		func(s monitor.SiteStats) uint64 { return s.CCWaitDies })
+	counter("rainbow_cc_deadlocks_total", "2PL requests aborted for closing a waits-for cycle.",
+		func(s monitor.SiteStats) uint64 { return s.CCDeadlocks })
+	counter("rainbow_cc_lock_timeouts_total", "CC waits that ran into the lock timeout.",
+		func(s monitor.SiteStats) uint64 { return s.CCLockTimeouts })
+	counter("rainbow_cc_rejections_total", "TSO/MVTSO operations rejected in timestamp order.",
+		func(s monitor.SiteStats) uint64 { return s.CCRejections })
 	counter("rainbow_releases_abandoned_total", "Release-retry loops that gave up and left cleanup to the janitor.",
 		func(s monitor.SiteStats) uint64 { return s.ReleasesAbandoned })
 

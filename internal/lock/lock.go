@@ -1,36 +1,46 @@
 // Package lock implements the lock manager used by Rainbow's two-phase
 // locking CCP: shared/exclusive item locks with FIFO queuing, lock
-// upgrades, waits-for-graph deadlock detection, and wait timeouts.
+// upgrades, deadlock handling by one of three policies, and wait timeouts.
 //
 // The lock table is striped: items hash to a fixed power-of-two array of
 // shards, each with its own mutex, item map and per-transaction held set,
 // so requests for unrelated items never serialize on a global lock. A
-// striped registry records which shards each transaction touches, and
-// ReleaseAll walks exactly those shards in index order (one at a time),
-// which keeps the manager internally deadlock-free.
+// striped registry records which shards each transaction touches and the
+// transaction's timestamp, and ReleaseAll walks exactly those shards in
+// index order (one at a time), which keeps the manager internally
+// deadlock-free.
 //
-// The waits-for graph deliberately stays global, behind its own mutex: a
-// deadlock cycle routinely spans items in different shards (T1 holds x in
-// shard 0 and waits for y in shard 3 held by T2, which waits for x), so a
-// per-shard graph could never close a cross-shard cycle. The lock order is
-// always shard mutex → waits mutex. Each blocked request runs its cycle
-// check and publishes its edges in a single waits-mutex critical section,
-// so of two requests that come to block on each other — even in different
-// shards — the later one always sees the earlier one's edges and detects
-// the cycle; striping loses no local detection. Timeouts remain the safety
-// net for distributed deadlocks no single site can see.
+// Deadlock handling is a Policy:
 //
-// Deadlock handling follows the classic local scheme: each blocked request
-// adds waits-for edges from the requester to every conflicting holder and
-// to conflicting waiters queued ahead of it; a cycle through the new edges
-// aborts the requester immediately (the requester is the victim). Timeouts
-// provide the safety net for distributed deadlocks that no single site can
-// see.
+//   - WaitDie (the default; Rosenkrantz, Stearns & Lewis 1978) resolves a
+//     conflict by age at request time. A requester younger than any
+//     conflicting holder, or than a conflicting waiter queued ahead of it,
+//     aborts at once; an older one waits. Waits then only ever run from
+//     older to younger transactions, so no cycle can form — not even one
+//     spanning sites, which no single site's waits-for graph could see.
+//     Every request carries its transaction's timestamp, so this needs no
+//     extra messages. One refinement spares needless aborts: a holder
+//     marked Committing (its commit protocol has begun, so it will never
+//     wait for a lock again) cannot be on a cycle, and any requester may
+//     wait for it.
+//   - Detect keeps a waits-for graph per site: each blocked request adds
+//     edges from the requester to every conflicting holder and to
+//     conflicting waiters queued ahead of it, and a cycle through the new
+//     edges aborts the requester. The graph is global behind its own mutex
+//     (a cycle routinely spans items in different shards); the lock order is
+//     always shard mutex → waits mutex, and each blocked request runs its
+//     cycle check and publishes its edges in one waits-mutex critical
+//     section, so striping loses no local detection. Cross-site cycles still
+//     fall to the timeout.
+//   - Timeout leaves every deadlock to the wait timeout.
+//
+// Under every policy the timeout stays as a counted safety net.
 package lock
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -45,6 +55,35 @@ import (
 // request leaves no lock state behind: no grant, no waiter, no waits-for
 // edge.
 var ErrWouldBlock = errors.New("lock: would block")
+
+// Policy selects how the manager resolves requests that would deadlock.
+type Policy uint8
+
+// Deadlock policies. The zero value is WaitDie.
+const (
+	// WaitDie aborts a requester younger than anything it conflicts with
+	// and lets older requesters wait: deadlock-free by construction.
+	WaitDie Policy = iota
+	// Detect aborts a requester whose wait would close a cycle in the
+	// site's waits-for graph.
+	Detect
+	// Timeout leaves deadlocks to the wait timeout.
+	Timeout
+)
+
+// ParsePolicy maps a catalog policy name ("wait-die", "detect" or
+// "timeout") onto a Policy; "" is WaitDie.
+func ParsePolicy(name string) (Policy, error) {
+	switch name {
+	case "", "wait-die":
+		return WaitDie, nil
+	case "detect":
+		return Detect, nil
+	case "timeout":
+		return Timeout, nil
+	}
+	return 0, fmt.Errorf("lock: unknown deadlock policy %q", name)
+}
 
 // Mode is a lock mode.
 type Mode uint8
@@ -68,10 +107,8 @@ type Options struct {
 	// Timeout bounds each wait; 0 disables timeouts. Timed-out requests
 	// abort with cause CC.
 	Timeout time.Duration
-	// DisableDeadlockDetection turns off waits-for cycle checking (leaving
-	// only timeouts), which lets classroom experiments observe undetected
-	// deadlocks.
-	DisableDeadlockDetection bool
+	// Policy is the deadlock policy; the zero value is WaitDie.
+	Policy Policy
 	// Shards is the lock-table stripe count, rounded up to a power of two
 	// and capped at MaxShards; <= 0 selects a GOMAXPROCS-derived default.
 	Shards int
@@ -94,7 +131,8 @@ const txStripes = 64
 type Stats struct {
 	Grants    uint64
 	Waits     uint64
-	Deadlocks uint64
+	Deadlocks uint64 // Detect: requests aborted for closing a waits-for cycle
+	Dies      uint64 // WaitDie: requests aborted for being younger
 	Timeouts  uint64
 	Upgrades  uint64
 }
@@ -121,23 +159,36 @@ type Manager struct {
 	shards []*lockShard
 	mask   uint32
 
-	// waitsMu guards the global waits-for graph. Lock order: a shard mutex
-	// may be held when taking waitsMu, never the reverse.
+	// waitsMu guards the global waits-for graph, used by the Detect policy
+	// only. Lock order: a shard mutex may be held when taking waitsMu, never
+	// the reverse.
 	waitsMu sync.Mutex
 	waits   map[model.TxID]map[model.TxID]bool
 
-	// txMu/txShards stripe a registry of which shards each transaction has
-	// touched (a bitmask), so ReleaseAll visits only those shards instead
-	// of walking the whole table. Keyed by the transaction's sequence
-	// number, which spreads uniformly.
-	txMu     [txStripes]sync.Mutex
-	txShards [txStripes]map[model.TxID]uint64
+	// txMu/txs stripe a registry of each transaction with lock state here:
+	// its timestamp (wait-die's age) and which shards it has touched (a
+	// bitmask), so ReleaseAll visits only those shards instead of walking
+	// the whole table. Keyed by the transaction's sequence number, which
+	// spreads uniformly. Lock order: a shard mutex may be held when taking a
+	// txMu stripe, never the reverse.
+	txMu [txStripes]sync.Mutex
+	txs  [txStripes]map[model.TxID]txEntry
 
 	grants    atomic.Uint64
 	waitCount atomic.Uint64
 	deadlocks atomic.Uint64
+	dies      atomic.Uint64
 	timeouts  atomic.Uint64
 	upgrades  atomic.Uint64
+}
+
+// txEntry is one transaction's registry entry.
+type txEntry struct {
+	ts     model.Timestamp
+	shards uint64
+	// committing is set by Committing: the transaction has finished
+	// acquiring locks, so waiting for it cannot close a cycle.
+	committing bool
 }
 
 type itemLock struct {
@@ -168,32 +219,61 @@ func New(opts Options) *Manager {
 			waiting: make(map[model.TxID]map[model.ItemID]bool),
 		}
 	}
-	for i := range m.txShards {
-		m.txShards[i] = make(map[model.TxID]uint64)
+	for i := range m.txs {
+		m.txs[i] = make(map[model.TxID]txEntry)
 	}
 	return m
 }
 
-// markTouched records that tx has used shard idx; ReleaseAll later consumes
-// (and clears) the mask.
-func (m *Manager) markTouched(tx model.TxID, idx int) {
+// markTouched registers tx with its timestamp and records that it has used
+// shard idx; ReleaseAll later consumes (and deletes) the entry.
+func (m *Manager) markTouched(tx model.TxID, ts model.Timestamp, idx int) {
 	s := int(tx.Seq % txStripes)
 	bit := uint64(1) << uint(idx)
 	m.txMu[s].Lock()
-	if m.txShards[s][tx]&bit == 0 {
-		m.txShards[s][tx] |= bit
+	e, ok := m.txs[s][tx]
+	if !ok || e.shards&bit == 0 {
+		if !ok {
+			e.ts = ts
+		}
+		e.shards |= bit
+		m.txs[s][tx] = e
 	}
 	m.txMu[s].Unlock()
 }
 
-// takeTouched returns and clears tx's touched-shard mask.
+// takeTouched returns tx's touched-shard mask and deletes its registry
+// entry, timestamp included.
 func (m *Manager) takeTouched(tx model.TxID) uint64 {
 	s := int(tx.Seq % txStripes)
 	m.txMu[s].Lock()
-	mask := m.txShards[s][tx]
-	delete(m.txShards[s], tx)
+	mask := m.txs[s][tx].shards
+	delete(m.txs[s], tx)
 	m.txMu[s].Unlock()
 	return mask
+}
+
+// entryOf returns tx's registry entry, and whether it has one.
+func (m *Manager) entryOf(tx model.TxID) (txEntry, bool) {
+	s := int(tx.Seq % txStripes)
+	m.txMu[s].Lock()
+	e, ok := m.txs[s][tx]
+	m.txMu[s].Unlock()
+	return e, ok
+}
+
+// Committing records that tx has entered its commit protocol: it holds
+// every lock it will take here, so under wait-die a younger requester may
+// wait for it instead of aborting. A transaction without lock state here
+// is left alone (no entry is created).
+func (m *Manager) Committing(tx model.TxID) {
+	s := int(tx.Seq % txStripes)
+	m.txMu[s].Lock()
+	if e, ok := m.txs[s][tx]; ok {
+		e.committing = true
+		m.txs[s][tx] = e
+	}
+	m.txMu[s].Unlock()
 }
 
 // ShardCount returns the lock-table stripe count.
@@ -213,6 +293,7 @@ func (m *Manager) Stats() Stats {
 		Grants:    m.grants.Load(),
 		Waits:     m.waitCount.Load(),
 		Deadlocks: m.deadlocks.Load(),
+		Dies:      m.dies.Load(),
 		Timeouts:  m.timeouts.Load(),
 		Upgrades:  m.upgrades.Load(),
 	}
@@ -243,10 +324,11 @@ func (m *Manager) Holding(tx model.TxID, item model.ItemID) Mode {
 	return il.holders[tx]
 }
 
-// Acquire obtains item in the given mode for tx, blocking until granted,
-// deadlock-aborted, timed out, or ctx is done. Re-acquiring an equal or
-// weaker mode is a no-op; Shared→Exclusive upgrades are supported.
-func (m *Manager) Acquire(ctx context.Context, tx model.TxID, item model.ItemID, mode Mode) error {
+// Acquire obtains item in the given mode for tx, whose timestamp is ts,
+// blocking until granted, aborted by the deadlock policy, timed out, or ctx
+// is done. Re-acquiring an equal or weaker mode is a no-op; Shared→Exclusive
+// upgrades are supported.
+func (m *Manager) Acquire(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, mode Mode) error {
 	idx := m.shardIndexOf(item)
 	sh := m.shards[idx]
 	sh.mu.Lock()
@@ -261,40 +343,49 @@ func (m *Manager) Acquire(ctx context.Context, tx model.TxID, item model.ItemID,
 		sh.mu.Unlock()
 		return nil // already held strongly enough
 	}
-	// Mark before any grant or queue entry exists, so ReleaseAll can never
-	// miss this shard. Re-acquires returned above without marking: their
-	// original grant already set the bit.
-	m.markTouched(tx, idx)
 	upgrade := cur == Shared && mode == Exclusive
 
 	// A new request is granted only if it is compatible with the holders
 	// AND does not jump queued conflicting waiters (FIFO fairness).
 	if holdersCompatible(il, tx, mode, upgrade) && !queueConflicts(il, tx, mode) {
+		m.markTouched(tx, ts, idx)
 		m.grantLocked(sh, item, il, tx, mode, upgrade)
 		sh.mu.Unlock()
 		return nil
 	}
-
-	// Must wait: build waits-for edges to everything blocking us. The
-	// deadlock check and the edge publication happen in one waitsMu
-	// critical section, while the shard is still locked, so a concurrent
-	// grant in this shard cannot clear edges before they exist.
-	w := &waiter{tx: tx, mode: mode, upgrade: upgrade, ready: make(chan error, 1)}
-	blockers := blockers(il, tx, mode, upgrade)
-	m.waitsMu.Lock()
-	if !m.opts.DisableDeadlockDetection && m.wouldDeadlockLocked(tx, blockers) {
-		m.waitsMu.Unlock()
-		m.deadlocks.Add(1)
-		sh.mu.Unlock()
-		return model.Abortf(model.AbortCC, "deadlock: %s waiting for %s(%s)", tx, item, mode)
-	}
-	for _, b := range blockers {
-		if m.waits[tx] == nil {
-			m.waits[tx] = make(map[model.TxID]bool)
+	switch m.opts.Policy {
+	case WaitDie:
+		if m.diesLocked(il, tx, ts, mode, upgrade) {
+			sh.mu.Unlock()
+			m.dies.Add(1)
+			return model.Abortf(model.AbortCC, "wait-die: %s (ts %s) is younger than a conflicting holder or waiter of %s(%s)", tx, ts, item, mode)
 		}
-		m.waits[tx][b] = true
+	case Detect:
+		// Build waits-for edges to everything blocking us. The deadlock
+		// check and the edge publication happen in one waitsMu critical
+		// section, while the shard is still locked, so a concurrent grant
+		// in this shard cannot clear edges before they exist.
+		blockers := blockers(il, tx, mode, upgrade)
+		m.waitsMu.Lock()
+		if m.wouldDeadlockLocked(tx, blockers) {
+			m.waitsMu.Unlock()
+			m.deadlocks.Add(1)
+			sh.mu.Unlock()
+			return model.Abortf(model.AbortCC, "deadlock: %s waiting for %s(%s)", tx, item, mode)
+		}
+		for _, b := range blockers {
+			if m.waits[tx] == nil {
+				m.waits[tx] = make(map[model.TxID]bool)
+			}
+			m.waits[tx][b] = true
+		}
+		m.waitsMu.Unlock()
 	}
-	m.waitsMu.Unlock()
+
+	// Must wait. Mark before the queue entry exists, so ReleaseAll can
+	// never miss this shard.
+	m.markTouched(tx, ts, idx)
+	w := &waiter{tx: tx, mode: mode, upgrade: upgrade, ready: make(chan error, 1)}
 	il.queue = append(il.queue, w)
 	if sh.waiting[tx] == nil {
 		sh.waiting[tx] = make(map[model.ItemID]bool)
@@ -347,11 +438,12 @@ func (m *Manager) Acquire(ctx context.Context, tx model.TxID, item model.ItemID,
 
 // TryAcquire is Acquire's non-blocking variant, used by the per-shard
 // pipeline sequencers: it grants on exactly Acquire's fast path (mode
-// compatible with the holders and no queued conflicting waiter) and returns
-// ErrWouldBlock where Acquire would queue — never a timer, never a
-// waits-for edge. A would-block answer leaves no trace, so the caller can
-// retry through the blocking Acquire without double-registering anything.
-func (m *Manager) TryAcquire(tx model.TxID, item model.ItemID, mode Mode) error {
+// compatible with the holders and no queued conflicting waiter), aborts
+// exactly where Acquire's wait-die check would, and returns ErrWouldBlock
+// where Acquire would queue — never a timer, never a waits-for edge. Only a
+// grant leaves state behind, so the caller can retry a would-block through
+// the blocking Acquire without double-registering anything.
+func (m *Manager) TryAcquire(tx model.TxID, ts model.Timestamp, item model.ItemID, mode Mode) error {
 	idx := m.shardIndexOf(item)
 	sh := m.shards[idx]
 	sh.mu.Lock()
@@ -367,13 +459,46 @@ func (m *Manager) TryAcquire(tx model.TxID, item model.ItemID, mode Mode) error 
 	}
 	upgrade := cur == Shared && mode == Exclusive
 	if holdersCompatible(il, tx, mode, upgrade) && !queueConflicts(il, tx, mode) {
-		m.markTouched(tx, idx)
+		m.markTouched(tx, ts, idx)
 		m.grantLocked(sh, item, il, tx, mode, upgrade)
 		sh.mu.Unlock()
 		return nil
 	}
+	dies := m.opts.Policy == WaitDie && m.diesLocked(il, tx, ts, mode, upgrade)
 	sh.mu.Unlock()
+	if dies {
+		m.dies.Add(1)
+		return model.Abortf(model.AbortCC, "wait-die: %s (ts %s) is younger than a conflicting holder or waiter of %s(%s)", tx, ts, item, mode)
+	}
 	return ErrWouldBlock
+}
+
+// younger reports whether (ts, tx) is younger than (ots, other): a later
+// timestamp, with the transaction ID breaking ties so the order is total.
+func younger(ts model.Timestamp, tx model.TxID, ots model.Timestamp, other model.TxID) bool {
+	if ts != ots {
+		return ots.Less(ts)
+	}
+	if tx.Site != other.Site {
+		return tx.Site > other.Site
+	}
+	return tx.Seq > other.Seq
+}
+
+// diesLocked is the wait-die test: whether tx is younger than any holder or
+// queued waiter it would wait for (blockers). Waiters are registered before
+// they queue, so every blocker's age is in the registry. Two kinds of
+// holder never make a requester die: a committing one (see Committing),
+// and one with no registry entry, which is mid-ReleaseAll (the entry goes
+// before the shards are walked) — waiting for either is short and cannot
+// close a cycle. The caller holds the item's shard mutex.
+func (m *Manager) diesLocked(il *itemLock, tx model.TxID, ts model.Timestamp, mode Mode, upgrade bool) bool {
+	for _, b := range blockers(il, tx, mode, upgrade) {
+		if e, ok := m.entryOf(b); ok && !e.committing && younger(ts, tx, e.ts, b) {
+			return true
+		}
+	}
+	return false
 }
 
 // ReleaseAll drops every lock tx holds and removes it from all wait queues,
@@ -419,6 +544,9 @@ func (m *Manager) ReleaseAll(tx model.TxID) {
 		}
 		delete(sh.waiting, tx)
 		sh.mu.Unlock()
+	}
+	if m.opts.Policy != Detect {
+		return
 	}
 	m.waitsMu.Lock()
 	delete(m.waits, tx)
@@ -537,6 +665,9 @@ func removeWaiter(il *itemLock, w *waiter) {
 }
 
 func (m *Manager) clearEdges(tx model.TxID) {
+	if m.opts.Policy != Detect {
+		return
+	}
 	m.waitsMu.Lock()
 	delete(m.waits, tx)
 	m.waitsMu.Unlock()

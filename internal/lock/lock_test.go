@@ -14,15 +14,19 @@ import (
 
 func tx(seq uint64) model.TxID { return model.TxID{Site: "S", Seq: seq} }
 
+// noTS is the timestamp of the tests that pin the detect or timeout policy,
+// which never look at transaction age.
+var noTS model.Timestamp
+
 func mustAcquire(t *testing.T, m *Manager, id model.TxID, item model.ItemID, mode Mode) {
 	t.Helper()
-	if err := m.Acquire(context.Background(), id, item, mode); err != nil {
+	if err := m.Acquire(context.Background(), id, noTS, item, mode); err != nil {
 		t.Fatalf("Acquire(%v, %v, %v): %v", id, item, mode, err)
 	}
 }
 
 func TestSharedLocksCompatible(t *testing.T) {
-	m := New(Options{})
+	m := New(Options{Policy: Detect})
 	mustAcquire(t, m, tx(1), "x", Shared)
 	mustAcquire(t, m, tx(2), "x", Shared)
 	mustAcquire(t, m, tx(3), "x", Shared)
@@ -32,11 +36,11 @@ func TestSharedLocksCompatible(t *testing.T) {
 }
 
 func TestExclusiveBlocksShared(t *testing.T) {
-	m := New(Options{})
+	m := New(Options{Policy: Detect})
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(context.Background(), tx(2), "x", Shared) }()
+	go func() { done <- m.Acquire(context.Background(), tx(2), noTS, "x", Shared) }()
 	select {
 	case err := <-done:
 		t.Fatalf("shared lock granted while X held: %v", err)
@@ -50,10 +54,10 @@ func TestExclusiveBlocksShared(t *testing.T) {
 }
 
 func TestSharedBlocksExclusive(t *testing.T) {
-	m := New(Options{})
+	m := New(Options{Policy: Detect})
 	mustAcquire(t, m, tx(1), "x", Shared)
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(context.Background(), tx(2), "x", Exclusive) }()
+	go func() { done <- m.Acquire(context.Background(), tx(2), noTS, "x", Exclusive) }()
 	select {
 	case <-done:
 		t.Fatal("X granted while S held by another tx")
@@ -66,7 +70,7 @@ func TestSharedBlocksExclusive(t *testing.T) {
 }
 
 func TestReacquireIsNoop(t *testing.T) {
-	m := New(Options{})
+	m := New(Options{Policy: Detect})
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 	mustAcquire(t, m, tx(1), "x", Shared) // weaker mode under X: no-op
@@ -76,7 +80,7 @@ func TestReacquireIsNoop(t *testing.T) {
 }
 
 func TestUpgradeSoleHolder(t *testing.T) {
-	m := New(Options{})
+	m := New(Options{Policy: Detect})
 	mustAcquire(t, m, tx(1), "x", Shared)
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 	if m.Holding(tx(1), "x") != Exclusive {
@@ -88,12 +92,12 @@ func TestUpgradeSoleHolder(t *testing.T) {
 }
 
 func TestUpgradeWaitsForOtherReaders(t *testing.T) {
-	m := New(Options{})
+	m := New(Options{Policy: Detect})
 	mustAcquire(t, m, tx(1), "x", Shared)
 	mustAcquire(t, m, tx(2), "x", Shared)
 
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(context.Background(), tx(1), "x", Exclusive) }()
+	go func() { done <- m.Acquire(context.Background(), tx(1), noTS, "x", Exclusive) }()
 	select {
 	case <-done:
 		t.Fatal("upgrade granted while another reader holds S")
@@ -110,15 +114,15 @@ func TestUpgradeWaitsForOtherReaders(t *testing.T) {
 
 func TestUpgradeDeadlockDetected(t *testing.T) {
 	// Two readers both try to upgrade: a classic unresolvable deadlock.
-	m := New(Options{})
+	m := New(Options{Policy: Detect})
 	mustAcquire(t, m, tx(1), "x", Shared)
 	mustAcquire(t, m, tx(2), "x", Shared)
 
 	first := make(chan error, 1)
-	go func() { first <- m.Acquire(context.Background(), tx(1), "x", Exclusive) }()
+	go func() { first <- m.Acquire(context.Background(), tx(1), noTS, "x", Exclusive) }()
 	time.Sleep(20 * time.Millisecond) // let tx1 queue
 
-	err := m.Acquire(context.Background(), tx(2), "x", Exclusive)
+	err := m.Acquire(context.Background(), tx(2), noTS, "x", Exclusive)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("second upgrade should deadlock-abort, got %v", err)
 	}
@@ -129,15 +133,15 @@ func TestUpgradeDeadlockDetected(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	m := New(Options{})
+	m := New(Options{Policy: Detect})
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 	mustAcquire(t, m, tx(2), "y", Exclusive)
 
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(context.Background(), tx(1), "y", Exclusive) }()
+	go func() { done <- m.Acquire(context.Background(), tx(1), noTS, "y", Exclusive) }()
 	time.Sleep(20 * time.Millisecond) // tx1 now waits for tx2
 
-	err := m.Acquire(context.Background(), tx(2), "x", Exclusive)
+	err := m.Acquire(context.Background(), tx(2), noTS, "x", Exclusive)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("cycle not detected: %v", err)
 	}
@@ -151,19 +155,19 @@ func TestDeadlockDetection(t *testing.T) {
 }
 
 func TestThreeWayDeadlock(t *testing.T) {
-	m := New(Options{})
+	m := New(Options{Policy: Detect})
 	mustAcquire(t, m, tx(1), "a", Exclusive)
 	mustAcquire(t, m, tx(2), "b", Exclusive)
 	mustAcquire(t, m, tx(3), "c", Exclusive)
 
 	e1 := make(chan error, 1)
 	e2 := make(chan error, 1)
-	go func() { e1 <- m.Acquire(context.Background(), tx(1), "b", Exclusive) }()
+	go func() { e1 <- m.Acquire(context.Background(), tx(1), noTS, "b", Exclusive) }()
 	time.Sleep(10 * time.Millisecond)
-	go func() { e2 <- m.Acquire(context.Background(), tx(2), "c", Exclusive) }()
+	go func() { e2 <- m.Acquire(context.Background(), tx(2), noTS, "c", Exclusive) }()
 	time.Sleep(10 * time.Millisecond)
 
-	err := m.Acquire(context.Background(), tx(3), "a", Exclusive)
+	err := m.Acquire(context.Background(), tx(3), noTS, "a", Exclusive)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("3-cycle not detected: %v", err)
 	}
@@ -178,10 +182,10 @@ func TestThreeWayDeadlock(t *testing.T) {
 }
 
 func TestTimeout(t *testing.T) {
-	m := New(Options{Timeout: 30 * time.Millisecond})
+	m := New(Options{Policy: Detect, Timeout: 30 * time.Millisecond})
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 	start := time.Now()
-	err := m.Acquire(context.Background(), tx(2), "x", Exclusive)
+	err := m.Acquire(context.Background(), tx(2), noTS, "x", Exclusive)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("want CC abort on timeout, got %v", err)
 	}
@@ -198,14 +202,14 @@ func TestTimeout(t *testing.T) {
 }
 
 func TestDeadlockDetectionDisabledFallsBackToTimeout(t *testing.T) {
-	m := New(Options{Timeout: 30 * time.Millisecond, DisableDeadlockDetection: true})
+	m := New(Options{Timeout: 30 * time.Millisecond, Policy: Timeout})
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 	mustAcquire(t, m, tx(2), "y", Exclusive)
 
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(context.Background(), tx(1), "y", Exclusive) }()
+	go func() { done <- m.Acquire(context.Background(), tx(1), noTS, "y", Exclusive) }()
 	time.Sleep(10 * time.Millisecond)
-	err := m.Acquire(context.Background(), tx(2), "x", Exclusive)
+	err := m.Acquire(context.Background(), tx(2), noTS, "x", Exclusive)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("want timeout abort, got %v", err)
 	}
@@ -221,16 +225,16 @@ func TestDeadlockDetectionDisabledFallsBackToTimeout(t *testing.T) {
 }
 
 func TestFIFOFairnessWriterNotStarved(t *testing.T) {
-	m := New(Options{})
+	m := New(Options{Policy: Detect})
 	mustAcquire(t, m, tx(1), "x", Shared)
 
 	writer := make(chan error, 1)
-	go func() { writer <- m.Acquire(context.Background(), tx(2), "x", Exclusive) }()
+	go func() { writer <- m.Acquire(context.Background(), tx(2), noTS, "x", Exclusive) }()
 	time.Sleep(20 * time.Millisecond)
 
 	// A later shared request must queue behind the writer, not jump it.
 	reader := make(chan error, 1)
-	go func() { reader <- m.Acquire(context.Background(), tx(3), "x", Shared) }()
+	go func() { reader <- m.Acquire(context.Background(), tx(3), noTS, "x", Shared) }()
 	select {
 	case <-reader:
 		t.Fatal("late reader jumped the queued writer")
@@ -248,10 +252,10 @@ func TestFIFOFairnessWriterNotStarved(t *testing.T) {
 }
 
 func TestReleaseAllRemovesQueuedWaiter(t *testing.T) {
-	m := New(Options{})
+	m := New(Options{Policy: Detect})
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(context.Background(), tx(2), "x", Exclusive) }()
+	go func() { done <- m.Acquire(context.Background(), tx(2), noTS, "x", Exclusive) }()
 	time.Sleep(20 * time.Millisecond)
 	m.ReleaseAll(tx(2)) // tx2 aborts while waiting
 	if err := <-done; model.CauseOf(err) != model.AbortCC {
@@ -263,11 +267,11 @@ func TestReleaseAllRemovesQueuedWaiter(t *testing.T) {
 }
 
 func TestContextCancellation(t *testing.T) {
-	m := New(Options{})
+	m := New(Options{Policy: Detect})
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(ctx, tx(2), "x", Exclusive) }()
+	go func() { done <- m.Acquire(ctx, tx(2), noTS, "x", Exclusive) }()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	if err := <-done; model.CauseOf(err) != model.AbortCC {
@@ -278,7 +282,7 @@ func TestContextCancellation(t *testing.T) {
 // TestStressInvariant hammers the manager with random lock/unlock cycles and
 // checks the core invariant after every grant: an exclusive holder is alone.
 func TestStressInvariant(t *testing.T) {
-	m := New(Options{Timeout: 100 * time.Millisecond})
+	m := New(Options{Policy: Detect, Timeout: 100 * time.Millisecond})
 	items := []model.ItemID{"a", "b", "c", "d"}
 	var violations atomic.Int32
 	var wg sync.WaitGroup
@@ -297,7 +301,7 @@ func TestStressInvariant(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						mode = Exclusive
 					}
-					if err := m.Acquire(context.Background(), id, item, mode); err != nil {
+					if err := m.Acquire(context.Background(), id, noTS, item, mode); err != nil {
 						ok = false
 						break
 					}
@@ -348,7 +352,7 @@ func TestShardOption(t *testing.T) {
 // different lock-table shards — only the global waits-for graph can close
 // the cycle; per-shard graphs never could.
 func TestCrossShardDeadlockDetected(t *testing.T) {
-	m := New(Options{Shards: 8})
+	m := New(Options{Policy: Detect, Shards: 8})
 	// Pick two items that provably hash to different shards.
 	itemA := model.ItemID("a")
 	var itemB model.ItemID
@@ -367,7 +371,7 @@ func TestCrossShardDeadlockDetected(t *testing.T) {
 	mustAcquire(t, m, tx(2), itemB, Exclusive)
 
 	blocked := make(chan error, 1)
-	go func() { blocked <- m.Acquire(context.Background(), tx(1), itemB, Exclusive) }()
+	go func() { blocked <- m.Acquire(context.Background(), tx(1), noTS, itemB, Exclusive) }()
 	// Wait until tx1 is queued on itemB (its waits-for edge published).
 	for i := 0; ; i++ {
 		if m.Stats().Waits > 0 {
@@ -380,7 +384,7 @@ func TestCrossShardDeadlockDetected(t *testing.T) {
 	}
 
 	// tx2 → itemA closes the cross-shard cycle and must abort immediately.
-	err := m.Acquire(context.Background(), tx(2), itemA, Exclusive)
+	err := m.Acquire(context.Background(), tx(2), noTS, itemA, Exclusive)
 	if err == nil {
 		t.Fatal("cross-shard deadlock not detected")
 	}
@@ -403,7 +407,7 @@ func TestStripedLockStress(t *testing.T) {
 	for i := range items {
 		items[i] = model.ItemID(fmt.Sprintf("i%02d", i))
 	}
-	m := New(Options{Timeout: 2 * time.Second, Shards: 8})
+	m := New(Options{Policy: Detect, Timeout: 2 * time.Second, Shards: 8})
 
 	var granted, aborted atomic.Uint64
 	var wg sync.WaitGroup
@@ -423,7 +427,7 @@ func TestStripedLockStress(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						mode = Exclusive
 					}
-					if err := m.Acquire(context.Background(), id, items[lo+j], mode); err != nil {
+					if err := m.Acquire(context.Background(), id, noTS, items[lo+j], mode); err != nil {
 						aborted.Add(1)
 						ok = false
 						break

@@ -202,6 +202,19 @@ type SiteStats struct {
 	CCSplits    uint64
 	CCDrains    uint64
 	SplitItems  int
+	// CC waits and give-ups, one field per path a copy operation can give
+	// up on: CCWaits counts requests that had to wait (lock queues, TSO
+	// intent gates, spinning blind adds); CCWaitDies the 2PL requests
+	// aborted by wait-die for being younger; CCDeadlocks the 2PL requests
+	// aborted for closing a waits-for cycle (detect policy);
+	// CCLockTimeouts the waits that ran into the lock timeout — under
+	// wait-die a safety net that should read 0; CCRejections the TSO/MVTSO
+	// operations rejected for arriving too late in timestamp order.
+	CCWaits        uint64
+	CCWaitDies     uint64
+	CCDeadlocks    uint64
+	CCLockTimeouts uint64
+	CCRejections   uint64
 	// ReleasesAbandoned counts release-retry loops that exhausted their
 	// attempts and left remote CC cleanup to the presumed-abort janitor.
 	ReleasesAbandoned uint64
@@ -481,6 +494,11 @@ func (r Report) Totals() SiteStats {
 		out.CCSplits += s.CCSplits
 		out.CCDrains += s.CCDrains
 		out.SplitItems += s.SplitItems
+		out.CCWaits += s.CCWaits
+		out.CCWaitDies += s.CCWaitDies
+		out.CCDeadlocks += s.CCDeadlocks
+		out.CCLockTimeouts += s.CCLockTimeouts
+		out.CCRejections += s.CCRejections
 		out.ReleasesAbandoned += s.ReleasesAbandoned
 		out.NetSentEnvelopes += s.NetSentEnvelopes
 		out.NetSendFlushes += s.NetSendFlushes
@@ -610,6 +628,10 @@ func (r Report) Render() string {
 	if t.CCAdds > 0 || t.CCSplits > 0 {
 		fmt.Fprintf(&b, "hot-key split: %d adds (%d lock-free), %d splits / %d drains, %d items split now\n",
 			t.CCAdds, t.CCSplitAdds, t.CCSplits, t.CCDrains, t.SplitItems)
+	}
+	if t.CCWaits > 0 || t.CCWaitDies > 0 || t.CCDeadlocks > 0 || t.CCLockTimeouts > 0 || t.CCRejections > 0 {
+		fmt.Fprintf(&b, "cc give-ups: %d waits, %d wait-die aborts, %d deadlocks, %d lock timeouts, %d timestamp rejections\n",
+			t.CCWaits, t.CCWaitDies, t.CCDeadlocks, t.CCLockTimeouts, t.CCRejections)
 	}
 	if t.ReleasesAbandoned > 0 {
 		fmt.Fprintf(&b, "releases abandoned to janitor: %d\n", t.ReleasesAbandoned)

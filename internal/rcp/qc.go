@@ -2,7 +2,6 @@ package rcp
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/model"
 	"repro/internal/schema"
@@ -23,35 +22,25 @@ type QC struct{}
 // Name implements Protocol.
 func (QC) Name() string { return "qc" }
 
-// Read implements Protocol.
+// Read implements Protocol: the value carried by the highest version in a
+// read quorum.
 func (QC) Read(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta) (int64, error) {
-	var (
-		mu      sync.Mutex
-		bestVal int64
-		bestVer model.Version
-		first   = true
-	)
-	err := buildQuorum(ctx, acc, sess, meta, meta.ReadQuorum, func(ctx context.Context, site model.SiteID) error {
-		v, ver, inc, err := acc.ReadCopy(ctx, site, sess.Tx, sess.TS, meta.Item)
-		if err != nil {
-			return err
-		}
-		sess.SawIncarnation(site, inc)
-		mu.Lock()
-		if first || ver > bestVer {
-			bestVal, bestVer, first = v, ver, false
-		}
-		mu.Unlock()
-		return nil
-	})
+	members, err := buildQuorum(ctx, acc, sess, meta, meta.ReadQuorum, CopyOp{Kind: model.OpRead, Item: meta.Item})
 	if err != nil {
 		return 0, err
 	}
-	return bestVal, nil
+	best := members[0]
+	for _, r := range members[1:] {
+		if r.Version > best.Version {
+			best = r
+		}
+	}
+	return best.Value, nil
 }
 
 // Write implements Protocol.
 func (QC) Write(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, value int64) error {
+	op := CopyOp{Kind: model.OpWrite, Item: meta.Item, Value: value}
 	// A repeated write of an item this transaction already wrote is pinned
 	// to the original write quorum: every member re-pre-writes (their
 	// X-locks/intents are already ours, so this cannot block on strangers)
@@ -61,12 +50,10 @@ func (QC) Write(ctx context.Context, acc CopyAccess, sess *Session, meta schema.
 	// record, and commit would install two different values under the same
 	// version number on different copies.
 	if sites, prev, ok := sess.WriteQuorum(meta.Item); ok {
-		for _, site := range sites {
-			_, inc, err := acc.PreWriteCopy(ctx, site, sess.Tx, sess.TS, meta.Item, value)
-			if err != nil {
-				return err
+		for _, r := range round(ctx, acc, sess, sites, op) {
+			if r.Err != nil {
+				return r.Err
 			}
-			sess.SawIncarnation(site, inc)
 		}
 		rec := model.WriteRecord{Item: meta.Item, Value: value, Version: prev.Version}
 		for _, site := range sites {
@@ -74,31 +61,17 @@ func (QC) Write(ctx context.Context, acc CopyAccess, sess *Session, meta schema.
 		}
 		return nil
 	}
-	var (
-		mu     sync.Mutex
-		maxVer model.Version
-		quorum []model.SiteID
-	)
-	err := buildQuorum(ctx, acc, sess, meta, meta.WriteQuorum, func(ctx context.Context, site model.SiteID) error {
-		ver, inc, err := acc.PreWriteCopy(ctx, site, sess.Tx, sess.TS, meta.Item, value)
-		if err != nil {
-			return err
-		}
-		sess.SawIncarnation(site, inc)
-		mu.Lock()
-		if ver > maxVer {
-			maxVer = ver
-		}
-		quorum = append(quorum, site)
-		mu.Unlock()
-		return nil
-	})
+	members, err := buildQuorum(ctx, acc, sess, meta, meta.WriteQuorum, op)
 	if err != nil {
 		return err
 	}
+	var maxVer model.Version
+	for _, r := range members {
+		maxVer = max(maxVer, r.Version)
+	}
 	rec := model.WriteRecord{Item: meta.Item, Value: value, Version: maxVer + 1}
-	for _, site := range quorum {
-		sess.RecordWrite(site, rec)
+	for _, r := range members {
+		sess.RecordWrite(r.Site, rec)
 	}
 	return nil
 }
@@ -110,62 +83,44 @@ func (QC) Add(ctx context.Context, acc CopyAccess, sess *Session, meta schema.It
 	return addAll(ctx, "qc", acc, sess, meta, delta)
 }
 
-// buildQuorum gathers `need` votes for one operation. It first picks the
-// minimal preferred vote set (assuming all sites up — this is what keeps QC
-// message counts near the quorum size, the property experiment E2
-// measures), issues the copy operation to the set concurrently, and
-// replaces failed members with the remaining vote-holders until the quorum
-// is complete or provably unreachable.
-//
-// The op callback is invoked concurrently across the sites of one round;
-// callbacks guard their own shared state.
-func buildQuorum(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta,
-	need int, op func(ctx context.Context, site model.SiteID) error) error {
-
+// buildQuorum gathers `need` votes for one operation and returns the
+// members' results. It first picks the minimal preferred vote set (assuming
+// all sites up — this is what keeps QC message counts near the quorum size,
+// the property experiment E2 measures), runs the copy operation at the set
+// in one round, and replaces failed members with the remaining
+// vote-holders, a round each, until the quorum is complete or provably
+// unreachable.
+func buildQuorum(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, need int, op CopyOp) ([]CopyResult, error) {
 	assignment := meta.Assignment()
 	prefer := preferredOrder(acc, meta)
 	tried := make(map[model.SiteID]bool)
 	gotVotes := 0
+	var members []CopyResult
 
 	for gotVotes < need {
 		// Select sites to cover the remaining votes, excluding failures and
 		// already-counted members.
-		round, ok := assignment.Pick(need-gotVotes, prefer, tried)
-		if !ok || len(round) == 0 {
-			return model.Abortf(model.AbortRCP,
+		picked, ok := assignment.Pick(need-gotVotes, prefer, tried)
+		if !ok || len(picked) == 0 {
+			return nil, model.Abortf(model.AbortRCP,
 				"qc: quorum of %d votes unreachable for %s (%d gathered)", need, meta.Item, gotVotes)
 		}
-
-		type result struct {
-			site model.SiteID
-			err  error
-		}
-		results := make(chan result, len(round))
-		for _, site := range round {
+		for _, site := range picked {
 			tried[site] = true
-			sess.Attempt(site)
-			go func(site model.SiteID) {
-				results <- result{site: site, err: op(ctx, site)}
-			}(site)
 		}
-		collected := make([]result, 0, len(round))
-		for range round {
-			collected = append(collected, <-results)
-		}
-		for _, r := range collected {
+		for _, r := range round(ctx, acc, sess, picked, op) {
 			switch {
-			case r.err == nil:
-				sess.Touch(r.site)
-				gotVotes += assignment.Votes[r.site]
-			case isCC(r.err):
+			case r.Err == nil:
+				gotVotes += assignment.Votes[r.Site]
+				members = append(members, r)
+			case isCC(r.Err):
 				// The remote CCP rejected the operation: the transaction is
-				// doomed; that site holds CC state to release.
-				sess.Touch(r.site)
-				return r.err
+				// doomed.
+				return nil, r.Err
 			default:
 				// Unreachable copy: leave it excluded and re-pick.
 			}
 		}
 	}
-	return nil
+	return members, nil
 }

@@ -13,31 +13,60 @@ package rcp
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/schema"
+	"repro/internal/wire"
 )
 
-// CopyAccess is the home site's handle for operating on physical copies.
-// Implementations route to the local CCP directly or to remote sites over
-// the wire layer.
+// CopyOp is one physical copy operation on one item's copy: a read
+// (model.OpRead), a pre-write of Value (model.OpWrite), or a pre-write of
+// the commutative blind add of delta Value (model.OpAdd), which merges into
+// the copy at commit.
+type CopyOp struct {
+	Kind  model.OpKind
+	Item  model.ItemID
+	Value int64
+}
+
+// CopyResult is the outcome of one copy operation at one site: the value
+// read (reads only), the copy's current version, and the serving site's
+// incarnation number (0 if unknown), which the session records so the
+// prepare can be fenced against a crash recovery at that site in between.
+type CopyResult struct {
+	Site        model.SiteID
+	Value       int64
+	Version     model.Version
+	Incarnation uint64
+	Err         error
+}
+
+// CopyAccess is the home site's handle for operating on physical copies:
+// the home site's own copy directly through its CCP, remote copies
+// asynchronously through the wire layer, so one round can have every
+// remote leg in flight at once without a goroutine per leg.
 type CopyAccess interface {
 	// Local returns the home site's id (preferred for read-one locality).
 	Local() model.SiteID
-	// ReadCopy reads the copy of item at site through that site's CCP. The
-	// returned incarnation is the serving site's incarnation number (0 if
-	// the transport predates it); the session records it so the prepare can
-	// be fenced against a crash recovery at that site in between.
-	ReadCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, uint64, error)
-	// PreWriteCopy pre-writes the copy of item at site through that site's
-	// CCP, returning the copy's current version plus the serving site's
-	// incarnation number.
-	PreWriteCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, uint64, error)
-	// AddCopy pre-writes a commutative blind add (delta merges into the
-	// copy at commit) through the site's CCP; same returns as PreWriteCopy.
-	AddCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, uint64, error)
+	// OpTimeout bounds one round of remote copy operations: a site that
+	// has not answered by then counts as unreachable for that attempt.
+	OpTimeout() time.Duration
+	// LocalCopy runs op on the home site's own copy through its CCP.
+	LocalCopy(ctx context.Context, tx model.TxID, ts model.Timestamp, op CopyOp) CopyResult
+	// SendCopy sends op to a remote copy site and returns without waiting,
+	// naming the call with a nonzero ID. The result arrives on results
+	// later, unless Forget(call) runs first; the sender must not block, so
+	// the caller keeps a free slot in results for every call in flight. An
+	// error means nothing was sent.
+	SendCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, op CopyOp, results chan<- CopyResult) (call uint64, err error)
+	// Forget abandons a sent copy operation: a result arriving later is
+	// dropped.
+	Forget(call uint64)
 }
 
 // Session accumulates one transaction's replication state at its home site:
@@ -293,59 +322,130 @@ func isCC(err error) bool {
 	return c == model.AbortCC || c == model.AbortACP || c == model.AbortInjected
 }
 
-// addAll pre-adds delta at EVERY copy of the item concurrently — the shared
-// body of ROWA.Add and QC.Add (see Protocol.Add for why QC cannot use a
-// quorum here). Any unreachable copy aborts with cause RCP; any CC rejection
-// propagates. The recorded install version is max(version)+1 over all
-// copies (delta applies ignore it, but it keeps version bookkeeping — and
-// quorum reads that follow a committed add — monotonic).
-func addAll(ctx context.Context, proto string, acc CopyAccess, sess *Session, meta schema.ItemMeta, delta int64) error {
-	sites := preferredOrder(acc, meta)
-	type result struct {
-		site model.SiteID
-		ver  model.Version
-		inc  uint64
-		err  error
-	}
-	results := make(chan result, len(sites))
-	for _, site := range sites {
-		sess.Attempt(site)
-		go func(site model.SiteID) {
-			ver, inc, err := acc.AddCopy(ctx, site, sess.Tx, sess.TS, meta.Item, delta)
-			results <- result{site: site, ver: ver, inc: inc, err: err}
-		}(site)
-	}
+// errNoReply is the result of a remote leg that did not answer within its
+// round. It is a replication-level failure (the copy is unreachable for
+// this attempt), not a CC rejection, so QC re-picks around it.
+var errNoReply = &model.AbortError{Cause: model.AbortRCP, Reason: "copy site did not reply within the operation timeout"}
 
-	var maxVer model.Version
-	var ccErr, rcpErr error
-	for range sites {
-		r := <-results
-		switch {
-		case r.err == nil:
-			sess.SawIncarnation(r.site, r.inc)
-			sess.Touch(r.site)
-			if r.ver > maxVer {
-				maxVer = r.ver
-			}
-		case isCC(r.err):
-			sess.Touch(r.site)
-			if ccErr == nil {
-				ccErr = r.err
-			}
-		default:
-			if rcpErr == nil {
-				rcpErr = r.err
+// round runs op at every site in sites at once and returns the results in
+// sites order. It sends every remote leg first, runs the home site's own
+// leg inline, then collects the remote results on one channel until all
+// are in, one OpTimeout deadline passes, or ctx ends (wire.Collect): one
+// timer per round, no goroutine or timeout context per leg.
+//
+// Every site is recorded as attempted before it is sent to; a site that
+// answered, or whose CCP rejected the operation, is touched (it holds CC
+// state to release). A CC rejection dooms the transaction, so the round
+// stops at the first one. Legs still unanswered when the round ends are
+// forgotten — a late reply is dropped, and the site stays a stray for the
+// home site to release — and carry errNoReply (or ctx's error).
+func round(ctx context.Context, acc CopyAccess, sess *Session, sites []model.SiteID, op CopyOp) []CopyResult {
+	out := make([]CopyResult, len(sites))
+	calls := make([]uint64, len(sites)) // nonzero while a remote leg is unanswered
+	pending, local := 0, -1
+	var results chan CopyResult
+	for i, site := range sites {
+		out[i].Site = site
+		sess.Attempt(site)
+		if site == acc.Local() {
+			local = i
+			continue
+		}
+		if results == nil {
+			results = make(chan CopyResult, len(sites))
+		}
+		call, err := acc.SendCopy(ctx, site, sess.Tx, sess.TS, op, results)
+		if err != nil {
+			out[i].Err = err
+			continue
+		}
+		calls[i] = call
+		pending++
+	}
+	if pending > 0 && local >= 0 {
+		// The sends woke the connections' writer goroutines, the last one
+		// into this P's run-next slot, where it would wait until this
+		// goroutine blocks. Yield so the requests flush first.
+		runtime.Gosched()
+	}
+	doomed := false
+	if local >= 0 {
+		out[local] = acc.LocalCopy(ctx, sess.Tx, sess.TS, op)
+		out[local].Site = sites[local]
+		doomed = settle(sess, out[local])
+	}
+	if !doomed {
+		wire.Collect(ctx, results, pending, acc.OpTimeout(), func(r CopyResult) bool {
+			i := slices.Index(sites, r.Site)
+			out[i], calls[i] = r, 0
+			return !settle(sess, r)
+		})
+	}
+	for i, call := range calls {
+		if call != 0 {
+			acc.Forget(call)
+			out[i].Err = errNoReply
+			if err := ctx.Err(); err != nil {
+				out[i].Err = err
 			}
 		}
 	}
-	if ccErr != nil {
-		return ccErr
+	return out
+}
+
+// settle records one leg's outcome in the session and reports whether it
+// dooms the transaction (a CC rejection).
+func settle(sess *Session, r CopyResult) bool {
+	switch {
+	case r.Err == nil:
+		sess.SawIncarnation(r.Site, r.Incarnation)
+		sess.Touch(r.Site)
+	case isCC(r.Err):
+		// The remote CCP rejected the operation: that site holds CC state
+		// to release.
+		sess.Touch(r.Site)
+		return true
+	}
+	return false
+}
+
+// writeAll pre-writes op at EVERY copy of the item in one round — ROWA's
+// write and both protocols' blind add (see Protocol.Add for why QC cannot
+// use a quorum there). A CC rejection propagates; any unreachable copy
+// aborts with cause RCP, naming what failed ("rowa: write-all", ...). It
+// returns the sites in preference order and max(version)+1 over all copies,
+// the version to record.
+func writeAll(ctx context.Context, what string, acc CopyAccess, sess *Session, meta schema.ItemMeta, op CopyOp) ([]model.SiteID, model.Version, error) {
+	sites := preferredOrder(acc, meta)
+	results := round(ctx, acc, sess, sites, op)
+	var maxVer model.Version
+	var rcpErr error
+	for _, r := range results {
+		switch {
+		case r.Err == nil:
+			maxVer = max(maxVer, r.Version)
+		case isCC(r.Err):
+			return nil, 0, r.Err
+		case rcpErr == nil:
+			rcpErr = r.Err
+		}
 	}
 	if rcpErr != nil {
-		return model.Abortf(model.AbortRCP, "%s: add-all of %s failed: %v", proto, meta.Item, rcpErr)
+		return nil, 0, model.Abortf(model.AbortRCP, "%s of %s failed: %v", what, meta.Item, rcpErr)
 	}
+	return sites, maxVer + 1, nil
+}
 
-	rec := model.WriteRecord{Item: meta.Item, Value: delta, Version: maxVer + 1, Delta: true}
+// addAll pre-adds delta at every copy of the item — the shared body of
+// ROWA.Add and QC.Add. The recorded install version is max(version)+1 over
+// all copies (delta applies ignore it, but it keeps version bookkeeping —
+// and quorum reads that follow a committed add — monotonic).
+func addAll(ctx context.Context, proto string, acc CopyAccess, sess *Session, meta schema.ItemMeta, delta int64) error {
+	sites, ver, err := writeAll(ctx, proto+": add-all", acc, sess, meta, CopyOp{Kind: model.OpAdd, Item: meta.Item, Value: delta})
+	if err != nil {
+		return err
+	}
+	rec := model.WriteRecord{Item: meta.Item, Value: delta, Version: ver, Delta: true}
 	for _, site := range sites {
 		sess.RecordAdd(site, rec)
 	}

@@ -4,15 +4,17 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/schema"
 )
 
 // fakeAccess is an in-memory CopyAccess: each site holds a copy with a
-// value and version; sites can be marked down or CC-rejecting; every copy
-// operation is counted (the message-economy assertions in these tests mirror
-// experiment E2).
+// value and version; sites can be marked down (they answer with an
+// unreachable error), silent (they never answer, leaving the round to its
+// deadline) or CC-rejecting; every copy operation is counted (the
+// message-economy assertions in these tests mirror experiment E2).
 type fakeAccess struct {
 	local model.SiteID
 
@@ -21,10 +23,13 @@ type fakeAccess struct {
 		val int64
 		ver model.Version
 	}
-	down     map[model.SiteID]bool
-	ccReject map[model.SiteID]bool
-	ops      int
-	perSite  map[model.SiteID]int
+	down      map[model.SiteID]bool
+	silent    map[model.SiteID]bool
+	ccReject  map[model.SiteID]bool
+	ops       int
+	perSite   map[model.SiteID]int
+	calls     uint64
+	forgotten int
 }
 
 func newFake(local model.SiteID, sites ...model.SiteID) *fakeAccess {
@@ -35,6 +40,7 @@ func newFake(local model.SiteID, sites ...model.SiteID) *fakeAccess {
 			ver model.Version
 		}),
 		down:     make(map[model.SiteID]bool),
+		silent:   make(map[model.SiteID]bool),
 		ccReject: make(map[model.SiteID]bool),
 		perSite:  make(map[model.SiteID]int),
 	}
@@ -58,41 +64,63 @@ func (f *fakeAccess) set(site model.SiteID, val int64, ver model.Version) {
 
 func (f *fakeAccess) Local() model.SiteID { return f.local }
 
+// fakeOpTimeout bounds the fake's rounds, so silent sites cost little.
+const fakeOpTimeout = 50 * time.Millisecond
+
+func (f *fakeAccess) OpTimeout() time.Duration { return fakeOpTimeout }
+
 // fakeIncarnation is the incarnation number every fake site reports (the
 // session-recording tests assert it round-trips).
 const fakeIncarnation = 7
 
-func (f *fakeAccess) ReadCopy(_ context.Context, site model.SiteID, _ model.TxID, _ model.Timestamp, _ model.ItemID) (int64, model.Version, uint64, error) {
+// copyAt runs op at site's copy.
+func (f *fakeAccess) copyAt(site model.SiteID, op CopyOp) CopyResult {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ops++
 	f.perSite[site]++
-	if f.down[site] {
-		return 0, 0, 0, model.Abortf(model.AbortRCP, "site %s unreachable", site)
+	r := CopyResult{Site: site}
+	switch {
+	case f.down[site]:
+		r.Err = model.Abortf(model.AbortRCP, "site %s unreachable", site)
+	case f.ccReject[site]:
+		r.Err = model.Abortf(model.AbortCC, "rejected at %s", site)
+	default:
+		c := f.copies[site]
+		r.Version, r.Incarnation = c.ver, fakeIncarnation
+		if op.Kind == model.OpRead {
+			r.Value = c.val
+		}
 	}
-	if f.ccReject[site] {
-		return 0, 0, 0, model.Abortf(model.AbortCC, "rejected at %s", site)
-	}
-	c := f.copies[site]
-	return c.val, c.ver, fakeIncarnation, nil
+	return r
 }
 
-func (f *fakeAccess) AddCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, uint64, error) {
-	return f.PreWriteCopy(ctx, site, tx, ts, item, delta)
+func (f *fakeAccess) LocalCopy(_ context.Context, _ model.TxID, _ model.Timestamp, op CopyOp) CopyResult {
+	return f.copyAt(f.local, op)
 }
 
-func (f *fakeAccess) PreWriteCopy(_ context.Context, site model.SiteID, _ model.TxID, _ model.Timestamp, _ model.ItemID, _ int64) (model.Version, uint64, error) {
+// SendCopy answers at once, before returning — the results channel has a
+// free slot for it by contract — unless the site is silent.
+func (f *fakeAccess) SendCopy(_ context.Context, site model.SiteID, _ model.TxID, _ model.Timestamp, op CopyOp, results chan<- CopyResult) (uint64, error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.ops++
-	f.perSite[site]++
-	if f.down[site] {
-		return 0, 0, model.Abortf(model.AbortRCP, "site %s unreachable", site)
+	f.calls++
+	call, silent := f.calls, f.silent[site]
+	f.mu.Unlock()
+	if silent {
+		f.mu.Lock()
+		f.ops++
+		f.perSite[site]++
+		f.mu.Unlock()
+		return call, nil
 	}
-	if f.ccReject[site] {
-		return 0, 0, model.Abortf(model.AbortCC, "rejected at %s", site)
-	}
-	return f.copies[site].ver, fakeIncarnation, nil
+	results <- f.copyAt(site, op)
+	return call, nil
+}
+
+func (f *fakeAccess) Forget(uint64) {
+	f.mu.Lock()
+	f.forgotten++
+	f.mu.Unlock()
 }
 
 func meta3() schema.ItemMeta {

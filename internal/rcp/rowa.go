@@ -17,24 +17,22 @@ type ROWA struct{}
 // Name implements Protocol.
 func (ROWA) Name() string { return "rowa" }
 
-// Read implements Protocol: try copies in preference order until one
-// responds. A CC rejection aborts the transaction immediately (the remote
-// scheduler has doomed it); unreachable copies are skipped.
+// Read implements Protocol: try copies in preference order, one round of
+// one copy each, until one responds. A CC rejection aborts the transaction
+// immediately (the remote scheduler has doomed it); unreachable copies are
+// skipped.
 func (ROWA) Read(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta) (int64, error) {
 	var lastErr error
+	op := CopyOp{Kind: model.OpRead, Item: meta.Item}
 	for _, site := range preferredOrder(acc, meta) {
-		sess.Attempt(site)
-		v, _, inc, err := acc.ReadCopy(ctx, site, sess.Tx, sess.TS, meta.Item)
-		if err == nil {
-			sess.SawIncarnation(site, inc)
-			sess.Touch(site)
-			return v, nil
+		r := round(ctx, acc, sess, []model.SiteID{site}, op)[0]
+		if r.Err == nil {
+			return r.Value, nil
 		}
-		if isCC(err) {
-			sess.Touch(site)
-			return 0, err
+		if isCC(r.Err) {
+			return 0, r.Err
 		}
-		lastErr = err
+		lastErr = r.Err
 	}
 	if lastErr == nil {
 		return 0, model.Abortf(model.AbortRCP, "rowa: item %s has no copies", meta.Item)
@@ -42,57 +40,16 @@ func (ROWA) Read(ctx context.Context, acc CopyAccess, sess *Session, meta schema
 	return 0, model.Abortf(model.AbortRCP, "rowa: no copy of %s reachable: %v", meta.Item, lastErr)
 }
 
-// Write implements Protocol: pre-write ALL copies concurrently. Any
+// Write implements Protocol: pre-write ALL copies in one round. Any
 // unreachable copy aborts with cause RCP (the ROWA availability weakness);
 // any CC rejection propagates. The install version is max(version)+1 over
 // all copies.
 func (ROWA) Write(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, value int64) error {
-	sites := preferredOrder(acc, meta)
-	type result struct {
-		site model.SiteID
-		ver  model.Version
-		inc  uint64
-		err  error
+	sites, ver, err := writeAll(ctx, "rowa: write-all", acc, sess, meta, CopyOp{Kind: model.OpWrite, Item: meta.Item, Value: value})
+	if err != nil {
+		return err
 	}
-	results := make(chan result, len(sites))
-	for _, site := range sites {
-		sess.Attempt(site)
-		go func(site model.SiteID) {
-			ver, inc, err := acc.PreWriteCopy(ctx, site, sess.Tx, sess.TS, meta.Item, value)
-			results <- result{site: site, ver: ver, inc: inc, err: err}
-		}(site)
-	}
-
-	var maxVer model.Version
-	var ccErr, rcpErr error
-	for range sites {
-		r := <-results
-		switch {
-		case r.err == nil:
-			sess.SawIncarnation(r.site, r.inc)
-			sess.Touch(r.site)
-			if r.ver > maxVer {
-				maxVer = r.ver
-			}
-		case isCC(r.err):
-			sess.Touch(r.site)
-			if ccErr == nil {
-				ccErr = r.err
-			}
-		default:
-			if rcpErr == nil {
-				rcpErr = r.err
-			}
-		}
-	}
-	if ccErr != nil {
-		return ccErr
-	}
-	if rcpErr != nil {
-		return model.Abortf(model.AbortRCP, "rowa: write-all of %s failed: %v", meta.Item, rcpErr)
-	}
-
-	rec := model.WriteRecord{Item: meta.Item, Value: value, Version: maxVer + 1}
+	rec := model.WriteRecord{Item: meta.Item, Value: value, Version: ver}
 	for _, site := range sites {
 		sess.RecordWrite(site, rec)
 	}

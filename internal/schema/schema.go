@@ -61,10 +61,14 @@ type Protocols struct {
 	CCP string
 	// ACP: "2pc" or "3pc" (default "2pc", the paper's default).
 	ACP string
-	// NoDeadlockDetection turns off 2PL's waits-for-graph cycle detection,
-	// leaving deadlocks to lock-wait timeouts — an ablation knob for
-	// classroom experiments on deadlock handling.
-	NoDeadlockDetection bool
+	// Deadlock is 2PL's deadlock policy, a classroom experiment knob:
+	// "wait-die" (the default; "" means it too) aborts a requester younger
+	// than the lock's holders or queued waiters and lets older ones wait, so
+	// no deadlock can form, even across sites; "detect" aborts a requester
+	// that closes a cycle in the site's waits-for graph and leaves
+	// cross-site cycles to the lock timeout; "timeout" leaves every
+	// deadlock to the lock timeout.
+	Deadlock string
 	// NoReadOnlyOpt disables the commit protocols' read-only participant
 	// optimization (participants without writes vote "read" and skip
 	// phase 2) — an ablation knob for message-cost experiments.
@@ -380,6 +384,11 @@ func (c *Catalog) Validate() error {
 	case "2pc", "3pc", "":
 	default:
 		return fmt.Errorf("schema: unknown ACP %q", c.Protocols.ACP)
+	}
+	switch c.Protocols.Deadlock {
+	case "wait-die", "detect", "timeout", "":
+	default:
+		return fmt.Errorf("schema: unknown deadlock policy %q", c.Protocols.Deadlock)
 	}
 	switch c.Net.Codec {
 	case "", "binary", "gob":

@@ -104,8 +104,14 @@ func TestMixedAddWriteHistorySerializable(t *testing.T) {
 	}
 }
 
+// TestTxnAddMixingRejected pins the detect policy: each transaction begins
+// right after the previous one aborted, whose remote releases are
+// asynchronous, so the younger one must wait for them rather than abort
+// under wait-die.
 func TestTxnAddMixingRejected(t *testing.T) {
-	c := newCluster(t, 2, defaultProtocols(), items())
+	p := defaultProtocols()
+	p.Deadlock = "detect"
+	c := newCluster(t, 2, p, items())
 	s := c.sites["A"]
 
 	// Read then Add of the same item.

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/acp"
 	"repro/internal/model"
 	"repro/internal/rcp"
 	"repro/internal/wire"
@@ -157,103 +158,147 @@ func mergeContexts(a, b context.Context) (context.Context, context.CancelFunc) {
 
 // ---- rcp.CopyAccess implementation ----
 
+// txnAccess is a transaction's rcp.CopyAccess: the home site's copy
+// operations, bounded per round by the Op timeout the transaction began
+// with. It is the Txn itself under another method set, so handing it to
+// the RCP costs no allocation.
+type txnAccess Txn
+
 // Local implements rcp.CopyAccess.
-func (s *Site) Local() model.SiteID { return s.id }
+func (a *txnAccess) Local() model.SiteID { return a.s.id }
 
-// ReadCopy implements rcp.CopyAccess: a local fast path through the site's
-// own CCP, or a ReadCopy RPC to the remote site. The third return value is
-// the serving site's incarnation number, recorded in the session for the
+// OpTimeout implements rcp.CopyAccess.
+func (a *txnAccess) OpTimeout() time.Duration { return a.timeouts.Op }
+
+// Forget implements rcp.CopyAccess.
+func (a *txnAccess) Forget(call uint64) { a.s.peer.Forget(call) }
+
+// LocalCopy implements rcp.CopyAccess: the operation runs through this
+// site's own CCP, reporting the site's incarnation number for the
 // prepare-time incarnation fence.
-func (s *Site) ReadCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, uint64, error) {
-	if site == s.id {
-		s.mu.Lock()
-		ccm := s.ccm
-		inc := s.incarnation
-		s.mu.Unlock()
-		v, ver, err := ccm.Read(ctx, tx, ts, item)
-		if err == nil {
-			s.hist.Record(tx, model.OpRead, item, v, ver)
-		}
-		return v, ver, inc, err
-	}
-	actx, cancel := s.attemptCtx(ctx)
-	defer cancel()
-	resp, err := wire.Call[wire.ReadCopyResp](actx, s.peer, site, wire.KindReadCopy, &wire.ReadCopyReq{Tx: tx, TS: ts, Item: item})
-	s.stats.AddRoundTrips(1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	s.clock.Witness(model.Timestamp{Time: resp.Clock, Site: site})
-	return resp.Value, resp.Version, resp.Incarnation, nil
-}
-
-// attemptCtx bounds one remote copy-operation attempt so a silent site does
-// not consume the whole operation budget.
-func (s *Site) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+func (a *txnAccess) LocalCopy(ctx context.Context, tx model.TxID, ts model.Timestamp, op rcp.CopyOp) rcp.CopyResult {
+	s := a.s
 	s.mu.Lock()
-	op := s.timeouts.Op
+	ccm := s.ccm
+	inc := s.incarnation
 	s.mu.Unlock()
-	return context.WithTimeout(ctx, op)
+	r := rcp.CopyResult{Site: s.id, Incarnation: inc}
+	switch op.Kind {
+	case model.OpRead:
+		r.Value, r.Version, r.Err = ccm.Read(ctx, tx, ts, op.Item)
+		if r.Err == nil {
+			s.hist.Record(tx, model.OpRead, op.Item, r.Value, r.Version)
+		}
+	case model.OpAdd:
+		r.Version, r.Err = ccm.PreAdd(ctx, tx, ts, op.Item, op.Value)
+	default:
+		r.Version, r.Err = ccm.PreWrite(ctx, tx, ts, op.Item, op.Value)
+	}
+	return r
 }
 
-// PreWriteCopy implements rcp.CopyAccess.
-func (s *Site) PreWriteCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, uint64, error) {
-	if site == s.id {
-		s.mu.Lock()
-		ccm := s.ccm
-		inc := s.incarnation
-		s.mu.Unlock()
-		ver, err := ccm.PreWrite(ctx, tx, ts, item, value)
-		return ver, inc, err
+// SendCopy implements rcp.CopyAccess: a ReadCopy, or a PreWrite (with the
+// Add flag for blind adds — one hot-path message kind, one pipeline). The
+// reply is decoded on the transport goroutine that receives it and
+// delivered on results.
+func (a *txnAccess) SendCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, op rcp.CopyOp, results chan<- rcp.CopyResult) (uint64, error) {
+	s := a.s
+	kind := wire.KindPreWrite
+	var body wire.Body
+	if op.Kind == model.OpRead {
+		kind = wire.KindReadCopy
+		body = &wire.ReadCopyReq{Tx: tx, TS: ts, Item: op.Item}
+	} else {
+		body = &wire.PreWriteReq{Tx: tx, TS: ts, Item: op.Item, Value: op.Value, Add: op.Kind == model.OpAdd}
 	}
-	actx, cancel := s.attemptCtx(ctx)
-	defer cancel()
-	resp, err := wire.Call[wire.PreWriteResp](actx, s.peer, site, wire.KindPreWrite, &wire.PreWriteReq{Tx: tx, TS: ts, Item: item, Value: value})
 	s.stats.AddRoundTrips(1)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.clock.Witness(model.Timestamp{Time: resp.Clock, Site: site})
-	return resp.Version, resp.Incarnation, nil
+	return s.peer.Start(ctx, site, kind, body, func(env *wire.Envelope) {
+		results <- s.copyReply(site, kind, env)
+	})
 }
 
-// AddCopy implements rcp.CopyAccess: the blind-add counterpart of
-// PreWriteCopy. The remote path rides the PreWrite wire message with the
-// Add flag set (one hot-path message kind, one pipeline).
-func (s *Site) AddCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, uint64, error) {
-	if site == s.id {
-		s.mu.Lock()
-		ccm := s.ccm
-		inc := s.incarnation
-		s.mu.Unlock()
-		ver, err := ccm.PreAdd(ctx, tx, ts, item, delta)
-		return ver, inc, err
+// copyReply decodes one copy operation's reply (nil: the peer closed) and
+// witnesses the replier's clock.
+func (s *Site) copyReply(site model.SiteID, kind wire.MsgKind, env *wire.Envelope) rcp.CopyResult {
+	r := rcp.CopyResult{Site: site}
+	if env == nil {
+		r.Err = wire.ErrClosed
+		return r
 	}
-	actx, cancel := s.attemptCtx(ctx)
-	defer cancel()
-	resp, err := wire.Call[wire.PreWriteResp](actx, s.peer, site, wire.KindPreWrite, &wire.PreWriteReq{Tx: tx, TS: ts, Item: item, Value: delta, Add: true})
-	s.stats.AddRoundTrips(1)
-	if err != nil {
-		return 0, 0, err
+	var clock uint64
+	if kind == wire.KindReadCopy {
+		var resp wire.ReadCopyResp
+		if r.Err = wire.DecodeReply(env, &resp); r.Err != nil {
+			return r
+		}
+		r.Value, r.Version, r.Incarnation, clock = resp.Value, resp.Version, resp.Incarnation, resp.Clock
+	} else {
+		var resp wire.PreWriteResp
+		if r.Err = wire.DecodeReply(env, &resp); r.Err != nil {
+			return r
+		}
+		r.Version, r.Incarnation, clock = resp.Version, resp.Incarnation, resp.Clock
 	}
-	s.clock.Witness(model.Timestamp{Time: resp.Clock, Site: site})
-	return resp.Version, resp.Incarnation, nil
+	s.clock.Witness(model.Timestamp{Time: clock, Site: site})
+	return r
 }
 
 // ---- acp.Cohort implementation ----
 
-// Prepare implements acp.Cohort.
-func (s *Site) Prepare(ctx context.Context, site model.SiteID, req wire.PrepareReq) (wire.VoteResp, error) {
-	if site == s.id {
-		return s.votePrepare(req), nil
+// Deliver implements acp.Cohort: the coordinator's own participant leg.
+func (s *Site) Deliver(ctx context.Context, msg acp.Msg) acp.Reply {
+	r := acp.Reply{Site: s.id}
+	switch msg.Phase {
+	case acp.PhasePrepare:
+		r.Vote = s.votePrepare(msg.Prepare)
+	case acp.PhasePreCommit:
+		r.Err = s.handlePreCommit(msg.Tx)
+	case acp.PhaseDecide:
+		r.Err = s.Decide(ctx, s.id, msg.Tx, msg.Commit)
+	case acp.PhaseEnd:
+		s.mu.Lock()
+		part := s.part
+		s.mu.Unlock()
+		part.Retire(msg.Tx)
 	}
-	resp, err := wire.Call[wire.VoteResp](ctx, s.peer, site, wire.KindPrepare, &req)
-	s.stats.AddRoundTrips(1)
-	if err != nil {
-		return wire.VoteResp{}, err
-	}
-	return *resp, nil
+	return r
 }
+
+// Post implements acp.Cohort. The end notification is a Cast (no response
+// awaited): the participant retires its decision-table entry on receipt,
+// and a lost message only leaves the entry lingering until the site
+// restarts without it.
+func (s *Site) Post(ctx context.Context, site model.SiteID, msg acp.Msg, replies chan<- acp.Reply) (uint64, error) {
+	var (
+		kind wire.MsgKind
+		body wire.Body
+	)
+	switch msg.Phase {
+	case acp.PhasePrepare:
+		kind, body = wire.KindPrepare, &msg.Prepare
+	case acp.PhasePreCommit:
+		kind, body = wire.KindPreCommit, &wire.PreCommitReq{Tx: msg.Tx}
+	case acp.PhaseDecide:
+		kind, body = wire.KindDecision, &wire.DecisionMsg{Tx: msg.Tx, Commit: msg.Commit}
+	default:
+		return 0, s.peer.Cast(ctx, site, wire.KindEndTx, &wire.EndTxMsg{Tx: msg.Tx})
+	}
+	s.stats.AddRoundTrips(1)
+	return s.peer.Start(ctx, site, kind, body, func(env *wire.Envelope) {
+		r := acp.Reply{Site: site, Err: wire.ErrClosed}
+		if env != nil {
+			var vote wire.Body // acks carry no body
+			if kind == wire.KindPrepare {
+				vote = &r.Vote
+			}
+			r.Err = wire.DecodeReply(env, vote)
+		}
+		replies <- r
+	})
+}
+
+// Forget implements acp.Cohort.
+func (s *Site) Forget(call uint64) { s.peer.Forget(call) }
 
 // votePrepare validates phase 1 before handing it to the participant. Four
 // guards close the lost-protection window between copy operations and
@@ -316,19 +361,13 @@ func (s *Site) votePrepare(req wire.PrepareReq) wire.VoteResp {
 			}
 		}
 	}
-	return part.HandlePrepare(req)
-}
-
-// PreCommit implements acp.Cohort: a nil return promises the participant
-// FORCED its pre-committed state (the coordinator's commit quorum counts
-// on it).
-func (s *Site) PreCommit(ctx context.Context, site model.SiteID, tx model.TxID) error {
-	if site == s.id {
-		return s.handlePreCommit(tx)
+	// The coordinator prepares only after the transaction's last copy
+	// operation, so it takes no more locks: under wait-die younger
+	// requesters may now wait for it rather than abort.
+	if c, ok := ccm.(interface{ Committing(model.TxID) }); ok {
+		c.Committing(req.Tx)
 	}
-	err := s.peer.Call(ctx, site, wire.KindPreCommit, &wire.PreCommitReq{Tx: tx}, nil)
-	s.stats.AddRoundTrips(1)
-	return err
+	return part.HandlePrepare(req)
 }
 
 // handlePreCommit forces the participant's pre-commit transition under the
@@ -365,7 +404,8 @@ func (s *Site) handlePreDecide(tx model.TxID, ballot model.Ballot, commit bool) 
 	return part.HandlePreDecide(tx, ballot, commit)
 }
 
-// Decide implements acp.Cohort.
+// Decide delivers a decision to site and waits for its ack; the local
+// path applies it directly.
 func (s *Site) Decide(ctx context.Context, site model.SiteID, tx model.TxID, commit bool) error {
 	if site == s.id {
 		s.mu.Lock()
@@ -376,21 +416,6 @@ func (s *Site) Decide(ctx context.Context, site model.SiteID, tx model.TxID, com
 	err := s.peer.Call(ctx, site, wire.KindDecision, &wire.DecisionMsg{Tx: tx, Commit: commit}, nil)
 	s.stats.AddRoundTrips(1)
 	return err
-}
-
-// End implements acp.Cohort: the cohort-fully-acknowledged notification.
-// Fire-and-forget (Cast, no response awaited) — the participant retires its
-// decision-table entry on receipt; a lost message only leaves the entry
-// lingering until the site restarts without it.
-func (s *Site) End(ctx context.Context, site model.SiteID, tx model.TxID) error {
-	if site == s.id {
-		s.mu.Lock()
-		part := s.part
-		s.mu.Unlock()
-		part.Retire(tx)
-		return nil
-	}
-	return s.peer.Cast(ctx, site, wire.KindEndTx, &wire.EndTxMsg{Tx: tx})
 }
 
 // ---- acp.Resolver implementation ----

@@ -27,6 +27,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/clock"
 	"repro/internal/history"
+	"repro/internal/lock"
 	"repro/internal/model"
 	"repro/internal/monitor"
 	"repro/internal/nameserver"
@@ -441,12 +442,16 @@ func (s *Site) rebuild(catalog *schema.Catalog, live bool) error {
 	if err != nil {
 		return err
 	}
+	deadlock, err := lock.ParsePolicy(catalog.Protocols.Deadlock)
+	if err != nil {
+		return err
+	}
 	ccm, err := cc.New(catalog.Protocols.CCP, store, cc.Options{
-		LockTimeout:              timeouts.Lock,
-		DisableDeadlockDetection: catalog.Protocols.NoDeadlockDetection,
-		NoSplit:                  catalog.Protocols.NoHotSplit,
-		Shards:                   shards,
-		Tracer:                   s.tracer,
+		LockTimeout: timeouts.Lock,
+		Deadlock:    deadlock,
+		NoSplit:     catalog.Protocols.NoHotSplit,
+		Shards:      shards,
+		Tracer:      s.tracer,
 	})
 	if err != nil {
 		return err
@@ -806,6 +811,7 @@ func addCCStats(acc *cc.Stats, s cc.Stats) {
 	acc.PreWrites += s.PreWrites
 	acc.Rejections += s.Rejections
 	acc.Deadlocks += s.Deadlocks
+	acc.WaitDies += s.WaitDies
 	acc.Timeouts += s.Timeouts
 	acc.Waits += s.Waits
 	acc.Adds += s.Adds
@@ -887,6 +893,11 @@ func (s *Site) Stats() monitor.SiteStats {
 	stats.CCSplitAdds = ccAccum.SplitAdds - min(ccBase.SplitAdds, ccAccum.SplitAdds)
 	stats.CCSplits = ccAccum.Splits - min(ccBase.Splits, ccAccum.Splits)
 	stats.CCDrains = ccAccum.Drains - min(ccBase.Drains, ccAccum.Drains)
+	stats.CCWaits = ccAccum.Waits - min(ccBase.Waits, ccAccum.Waits)
+	stats.CCWaitDies = ccAccum.WaitDies - min(ccBase.WaitDies, ccAccum.WaitDies)
+	stats.CCDeadlocks = ccAccum.Deadlocks - min(ccBase.Deadlocks, ccAccum.Deadlocks)
+	stats.CCLockTimeouts = ccAccum.Timeouts - min(ccBase.Timeouts, ccAccum.Timeouts)
+	stats.CCRejections = ccAccum.Rejections - min(ccBase.Rejections, ccAccum.Rejections)
 	ra := s.releasesAbandoned.Load()
 	stats.ReleasesAbandoned = ra - min(releasesAbandonedBase, ra)
 	stats.RecoveryRecords = recoveryRecords

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nameserver"
+	"repro/internal/rcp"
 	"repro/internal/schema"
 	"repro/internal/simnet"
 	"repro/internal/wire"
@@ -109,15 +110,26 @@ func TestCopyOpsReportIncarnation(t *testing.T) {
 	a, b := c.sites["A"], c.sites["B"]
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	tx := model.TxID{Site: "A", Seq: 60}
-	ts := model.Timestamp{Time: 1, Site: "A"}
-	if _, _, inc, err := a.ReadCopy(ctx, "B", tx, ts, "x"); err != nil || inc != b.Incarnation() {
-		t.Fatalf("remote read incarnation = %d, %v; want %d", inc, err, b.Incarnation())
+	txn, err := a.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, inc, err := a.PreWriteCopy(ctx, "B", tx, ts, "y", 9); err != nil || inc != b.Incarnation() {
-		t.Fatalf("remote pre-write incarnation = %d, %v; want %d", inc, err, b.Incarnation())
+	results := make(chan rcp.CopyResult, 1)
+	for _, op := range []rcp.CopyOp{{Kind: model.OpRead, Item: "x"}, {Kind: model.OpWrite, Item: "y", Value: 9}} {
+		if _, err := (*txnAccess)(txn).SendCopy(ctx, "B", txn.tx, txn.ts, op, results); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case r := <-results:
+			if r.Err != nil || r.Incarnation != b.Incarnation() {
+				t.Fatalf("remote op %v incarnation = %d, %v; want %d", op.Kind, r.Incarnation, r.Err, b.Incarnation())
+			}
+		case <-ctx.Done():
+			t.Fatalf("remote op %v: no reply", op.Kind)
+		}
 	}
-	b.Decide(ctx, "B", tx, false) //nolint:errcheck // release the probe state
+	b.Decide(ctx, "B", txn.tx, false) //nolint:errcheck // release the probe state
+	txn.Abort()
 }
 
 // TestJanitorReleasesStrandedState: unprepared CC state whose home has no
@@ -195,7 +207,7 @@ func TestRecovered3PCMemberTerminatesWithLoggedPreCommit(t *testing.T) {
 		}
 	}
 	b := c.sites["B"]
-	if err := b.PreCommit(ctx, "B", tx); err != nil {
+	if err := b.handlePreCommit(tx); err != nil {
 		t.Fatal(err)
 	}
 	// The coordinator "crashes" before deciding; B crashes with its logged

@@ -101,7 +101,7 @@ func (t *Txn) Read(item model.ItemID) (int64, error) {
 	opCtx, cancel := context.WithTimeout(t.ctx, 3*t.timeouts.Op)
 	defer cancel()
 	sp := t.act.StartSpan(trace.StageOp, "read "+string(item))
-	v, err := t.rcpProto.Read(opCtx, t.s, t.sess, meta)
+	v, err := t.rcpProto.Read(opCtx, (*txnAccess)(t), t.sess, meta)
 	sp.End()
 	if err != nil {
 		t.doomed = err
@@ -128,7 +128,7 @@ func (t *Txn) Write(item model.ItemID, value int64) error {
 	opCtx, cancel := context.WithTimeout(t.ctx, 3*t.timeouts.Op)
 	defer cancel()
 	sp := t.act.StartSpan(trace.StageOp, "write "+string(item))
-	err := t.rcpProto.Write(opCtx, t.s, t.sess, meta, value)
+	err := t.rcpProto.Write(opCtx, (*txnAccess)(t), t.sess, meta, value)
 	sp.End()
 	if err != nil {
 		t.doomed = err
@@ -163,7 +163,7 @@ func (t *Txn) Add(item model.ItemID, delta int64) error {
 	opCtx, cancel := context.WithTimeout(t.ctx, 3*t.timeouts.Op)
 	defer cancel()
 	sp := t.act.StartSpan(trace.StageOp, "add "+string(item))
-	err := t.rcpProto.Add(opCtx, t.s, t.sess, meta, delta)
+	err := t.rcpProto.Add(opCtx, (*txnAccess)(t), t.sess, meta, delta)
 	sp.End()
 	if err != nil {
 		t.doomed = err

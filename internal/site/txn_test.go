@@ -2,8 +2,10 @@ package site
 
 import (
 	"context"
+	"math/rand/v2"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 )
@@ -32,6 +34,10 @@ func TestTxnInteractiveReadModifyWrite(t *testing.T) {
 	}
 }
 
+// TestTxnAbortDiscardsWrites: the abort releases the remote copies
+// asynchronously, so the check read — younger than the aborted writer —
+// may meet its lock first and abort under wait-die; it retries the way a
+// client does.
 func TestTxnAbortDiscardsWrites(t *testing.T) {
 	c := newCluster(t, 3, defaultProtocols(), items())
 	s := c.sites["A"]
@@ -41,7 +47,7 @@ func TestTxnAbortDiscardsWrites(t *testing.T) {
 	if out.Committed {
 		t.Fatal("aborted txn reported committed")
 	}
-	check := s.Execute(context.Background(), []model.Op{model.Read("x")})
+	check := executeRetrying(s, []model.Op{model.Read("x")})
 	if !check.Committed || check.Reads["x"] != 10 {
 		t.Errorf("x = %+v, want original 10", check)
 	}
@@ -159,5 +165,18 @@ func TestTxnConcurrentTransfersPreserveSum(t *testing.T) {
 	sum := audit.Reads["a1"] + audit.Reads["a2"] + audit.Reads["a3"]
 	if sum != 300 {
 		t.Errorf("sum = %d, want 300 (balances %v)", sum, audit.Reads)
+	}
+}
+
+// executeRetrying runs ops like a workload client: a transaction aborted by
+// concurrency control restarts, with a fresh timestamp, after a jittered
+// exponential backoff (capped at 32 ms), up to 30 times.
+func executeRetrying(s *Site, ops []model.Op) model.Outcome {
+	for attempt := 0; ; attempt++ {
+		out := s.Execute(context.Background(), ops)
+		if out.Committed || out.Cause != model.AbortCC || attempt == 30 {
+			return out
+		}
+		time.Sleep(time.Duration(1+rand.IntN(min(1<<attempt, 32))) * time.Millisecond)
 	}
 }

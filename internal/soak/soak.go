@@ -14,6 +14,9 @@
 //     once all sites are back (2PC decision requests / 3PC cooperative
 //     termination);
 //   - catalog convergence — every site ends on the name server's epoch;
+//   - serializability — the merged execution history of the committed
+//     transactions passes the multiversion serializability check, under
+//     whichever 2PL deadlock policy (wait-die or detect) the seed drew;
 //   - checkpoint chains stay composable — the final audit repeats after
 //     crash-recovering every site, so the last full+delta chain plus the
 //     retained WAL must reproduce the same store.
@@ -34,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/history"
 	"repro/internal/model"
 	"repro/internal/schema"
 	"repro/internal/simnet"
@@ -105,6 +109,7 @@ type Report struct {
 	Checkpoints                     int
 	FinalEpoch                      uint64
 	ACP                             string
+	Deadlock                        string
 }
 
 // addOp is one planned blind-add transaction of the counter storm.
@@ -163,10 +168,17 @@ func Run(o Options) (Report, error) {
 		acp = "3pc"
 	}
 	rep.ACP = acp
+	// Both deadlock policies the serializability check must hold under:
+	// wait-die aborts by age at request time, detect by local cycles.
+	deadlock := "wait-die"
+	if rng.Intn(2) == 1 {
+		deadlock = "detect"
+	}
+	rep.Deadlock = deadlock
 
 	in, err := core.New(core.Options{
 		Sites: sites, Items: items,
-		Protocols: schema.Protocols{RCP: "qc", CCP: "2pl", ACP: acp},
+		Protocols: schema.Protocols{RCP: "qc", CCP: "2pl", ACP: acp, Deadlock: deadlock},
 		Timeouts: schema.Timeouts{
 			Op: 150 * time.Millisecond, Vote: 150 * time.Millisecond,
 			Ack: 100 * time.Millisecond, Lock: 100 * time.Millisecond,
@@ -194,6 +206,7 @@ func Run(o Options) (Report, error) {
 	defer in.Close()
 
 	committedAdds := make(map[model.TxID]addOp)
+	committed := make(map[model.TxID]bool) // client-acknowledged commits
 	var addsMu sync.Mutex
 	for round := 0; round < o.Rounds; round++ {
 		steps := planRound(rng, sites, &rep)
@@ -249,6 +262,9 @@ func Run(o Options) (Report, error) {
 		cancel()
 		rep.Submitted += res.Submitted
 		rep.Committed += res.Committed
+		for tx := range core.CommittedSet(res.Outcomes) {
+			committed[tx] = true
+		}
 		rep.AddsCommitted += addsOK
 		o.Logf("round %d: %d/%d committed, %d/%d adds, causes %v",
 			round, res.Committed, res.Submitted, addsOK, len(storm), res.ByCause)
@@ -275,6 +291,9 @@ func Run(o Options) (Report, error) {
 		return rep, err
 	}
 	if err := checkCounters(in, sites, counters, counterInit, committedAdds); err != nil {
+		return rep, err
+	}
+	if err := checkSerializable(in, committed, committedAdds); err != nil {
 		return rep, err
 	}
 
@@ -550,6 +569,33 @@ func checkCounters(in *core.Instance, sites []model.SiteID, counters []model.Ite
 			return fmt.Errorf("counter %s = %d, want %d (initial %d + %d committed adds summing %d)\n%s",
 				c, got, want, initial[c], count[c], sum[c], dumpItem(in, sites, c))
 		}
+	}
+	return nil
+}
+
+// checkSerializable runs the multiversion serializability check over the
+// merged history of the whole run. The committed set is every commit a
+// client saw, plus every transaction whose writes some site installed: a
+// client may see an abort or an unresolved outcome for a transaction that
+// commits later (3PC termination, lost decision acks), and the history's
+// write events are recorded at install, so they name committed
+// transactions only.
+func checkSerializable(in *core.Instance, acked map[model.TxID]bool, adds map[model.TxID]addOp) error {
+	events := in.History()
+	committed := make(map[model.TxID]bool, len(acked)+len(adds))
+	for tx := range acked {
+		committed[tx] = true
+	}
+	for tx := range adds {
+		committed[tx] = true
+	}
+	for _, e := range events {
+		if e.Kind != model.OpRead {
+			committed[e.Tx] = true
+		}
+	}
+	if err := history.CheckSerializable(events, committed); err != nil {
+		return fmt.Errorf("serializability: %w", err)
 	}
 	return nil
 }

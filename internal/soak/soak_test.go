@@ -23,8 +23,9 @@ func soakWorkers() int {
 // runSeeds drains the seed list through a worker pool and reports every
 // failing seed with a replay command that reproduces the SAME profile —
 // round count and workload shape feed the seeded plan, so a replay with
-// different options would explore a different schedule entirely.
-func runSeeds(t *testing.T, seeds []int64, opts Options) {
+// different options would explore a different schedule entirely. It
+// returns how many seeds ran under each deadlock policy.
+func runSeeds(t *testing.T, seeds []int64, opts Options) map[string]int {
 	t.Helper()
 	o := opts.withDefaults()
 	replayCmd := fmt.Sprintf(
@@ -35,10 +36,11 @@ func runSeeds(t *testing.T, seeds []int64, opts Options) {
 		err  error
 	}
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		fail []failure
-		ok   int
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		fail     []failure
+		ok       int
+		policies = make(map[string]int)
 	)
 	ch := make(chan int64)
 	for w := 0; w < soakWorkers(); w++ {
@@ -55,8 +57,8 @@ func runSeeds(t *testing.T, seeds []int64, opts Options) {
 				} else {
 					ok++
 				}
+				policies[rep.Deadlock]++
 				mu.Unlock()
-				_ = rep
 			}
 		}()
 	}
@@ -68,7 +70,8 @@ func runSeeds(t *testing.T, seeds []int64, opts Options) {
 	for _, f := range fail {
 		t.Errorf("seed %d: %v\n  replay: "+replayCmd, f.seed, f.err, f.seed)
 	}
-	t.Logf("soak: %d/%d seeds passed", ok, len(seeds))
+	t.Logf("soak: %d/%d seeds passed (deadlock policies %v)", ok, len(seeds), policies)
+	return policies
 }
 
 // TestSoakShortSeeded is the CI profile: 75 fixed seeds (15 under -short),
@@ -86,7 +89,10 @@ func TestSoakShortSeeded(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = int64(1000 + i)
 	}
-	runSeeds(t, seeds, Options{})
+	policies := runSeeds(t, seeds, Options{})
+	if policies["wait-die"] == 0 || policies["detect"] == 0 {
+		t.Errorf("deadlock policies drawn %v: the serializability audit must run under both wait-die and detect", policies)
+	}
 }
 
 // TestSoakLong is the nightly/bench-job profile: random seeds (logged for
@@ -173,6 +179,9 @@ func TestSoakReportCountsEvents(t *testing.T) {
 	}
 	if rep.ACP != "2pc" && rep.ACP != "3pc" {
 		t.Errorf("ACP = %q", rep.ACP)
+	}
+	if rep.Deadlock != "wait-die" && rep.Deadlock != "detect" {
+		t.Errorf("Deadlock = %q", rep.Deadlock)
 	}
 	_ = fmt.Sprintf("%+v", rep)
 }

@@ -2,12 +2,14 @@ package tcpnet
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -208,4 +210,43 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 		a.Send(context.Background(), &wire.Envelope{From: "a", To: "b"})
 		return got.Load() >= 2
 	}, "message not delivered after peer restart")
+}
+
+// TestCrossDialCloseLeavesNoGoroutines: two endpoints that dial each other
+// at the same moment end up with two sockets between them, and route
+// learning ("newest wins") drops one of the outConns from each endpoint's
+// route table. Close must still kill that orphan: once both endpoints are
+// closed no read loop or writer of this package may remain.
+func TestCrossDialCloseLeavesNoGoroutines(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		n := New(nil)
+		a, err := n.Attach("a", func(*wire.Envelope) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := n.Attach("b", func(*wire.Envelope) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for _, dir := range []struct {
+			ep       wire.Endpoint
+			from, to model.SiteID
+		}{{a, "a", "b"}, {b, "b", "a"}} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 4; i++ {
+					dir.ep.Send(context.Background(), &wire.Envelope{From: dir.from, To: dir.to, Payload: []byte("x")}) //nolint:errcheck
+				}
+			}()
+		}
+		wg.Wait()
+		time.Sleep(time.Millisecond) // let each side learn the other's route
+		a.Close()
+		b.Close()
+	}
+	if left := testutil.Lingering("repro/internal/tcpnet.", 3*time.Second); len(left) > 0 {
+		t.Fatalf("%d tcpnet goroutine(s) outlived both endpoints' Close:\n\n%s", len(left), strings.Join(left, "\n\n"))
+	}
 }

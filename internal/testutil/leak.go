@@ -9,6 +9,7 @@
 package testutil
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"runtime"
@@ -39,10 +40,38 @@ func VerifyMain(m *testing.M) {
 // stacks. The retry loop gives legitimate shutdown paths (connection
 // teardown, drain-on-close) time to run down before we call leak.
 func leakedGoroutines(wait time.Duration) []string {
+	return poll(wait, isReproGoroutine)
+}
+
+// Lingering polls the goroutine dump for up to wait and returns the stacks
+// of the goroutines that still run a function whose name starts with
+// prefix, such as "repro/internal/tcpnet.". The calling test's goroutine
+// and the suite's main goroutine are not counted. Tests use it to assert
+// that one shutdown path stops every worker it owns, without waiting for
+// the suite-wide check.
+func Lingering(prefix string, wait time.Duration) []string {
+	self := make([]byte, 64)
+	self = self[:runtime.Stack(self, false)]
+	header := string(self[:bytes.IndexByte(self, '[')]) // "goroutine N "
+	return poll(wait, func(stanza string) bool {
+		if strings.HasPrefix(stanza, header) || strings.Contains(stanza, "testing.(*M).Run(") {
+			return false
+		}
+		for _, line := range strings.Split(stanza, "\n") {
+			if strings.HasPrefix(line, prefix) || strings.HasPrefix(line, "created by "+prefix) {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// poll retries matching until no goroutine matches or wait has passed.
+func poll(wait time.Duration, match func(string) bool) []string {
 	deadline := time.Now().Add(wait)
 	delay := 1 * time.Millisecond
 	for {
-		leaked := reproGoroutines()
+		leaked := matchingGoroutines(match)
 		if len(leaked) == 0 || time.Now().After(deadline) {
 			return leaked
 		}
@@ -53,9 +82,9 @@ func leakedGoroutines(wait time.Duration) []string {
 	}
 }
 
-// reproGoroutines returns the stack of every goroutine (other than the
-// caller's) with a repro function frame.
-func reproGoroutines() []string {
+// matchingGoroutines returns the stack of every goroutine (other than the
+// caller's) that match accepts.
+func matchingGoroutines(match func(string) bool) []string {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
@@ -67,11 +96,11 @@ func reproGoroutines() []string {
 	}
 	var leaked []string
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if !strings.HasPrefix(g, "goroutine ") || !isReproGoroutine(g) {
+		if !strings.HasPrefix(g, "goroutine ") || !match(g) {
 			continue
 		}
 		// Skip the goroutine running this check itself.
-		if strings.Contains(g, "repro/internal/testutil.reproGoroutines") {
+		if strings.Contains(g, "repro/internal/testutil.matchingGoroutines") {
 			continue
 		}
 		leaked = append(leaked, g)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -42,9 +43,12 @@ type AsyncServeFunc func(from model.SiteID, tid trace.ID, kind MsgKind, req Payl
 // Peer layers request/response RPC over a Network endpoint. Each Rainbow
 // node (name server, site, workload driver, monitor) owns one Peer.
 //
-// Outbound: Call sends a request and blocks for the correlated reply; Cast
-// sends one-way. Inbound: requests are dispatched to the ServeFunc and the
-// returned body is sent back as a reply.
+// Outbound: Start sends a request now and hands its correlated reply to a
+// callback later, so one caller can have a whole round of requests in
+// flight and wait for their replies on one channel under one deadline —
+// no goroutine and no timer per request. Call is Start plus a blocking
+// wait; Cast sends one-way. Inbound: requests are dispatched to the
+// ServeFunc and the returned body is sent back as a reply.
 type Peer struct {
 	ep    Endpoint
 	serve ServeFunc
@@ -53,9 +57,12 @@ type Peer struct {
 	// traffic on an already-attached endpoint.
 	async atomic.Pointer[AsyncServeFunc]
 
-	corr    atomic.Uint64
-	mu      sync.Mutex
-	pending map[uint64]chan *Envelope
+	corr atomic.Uint64
+	mu   sync.Mutex
+	// pending maps each started call's correlation ID to its reply
+	// callback; whoever deletes an entry (reply dispatch, Forget, Close)
+	// owns the single callback run.
+	pending map[uint64]func(*Envelope)
 	closed  bool
 }
 
@@ -65,7 +72,7 @@ type Peer struct {
 // slices the peer attaches its batch handler too, so reply correlation for
 // a whole frame costs one pending-map critical section.
 func NewPeer(net Network, id model.SiteID, serve ServeFunc) (*Peer, error) {
-	p := &Peer{serve: serve, pending: make(map[uint64]chan *Envelope)}
+	p := &Peer{serve: serve, pending: make(map[uint64]func(*Envelope))}
 	var (
 		ep  Endpoint
 		err error
@@ -85,65 +92,123 @@ func NewPeer(net Network, id model.SiteID, serve ServeFunc) (*Peer, error) {
 // ID returns the peer's network address.
 func (p *Peer) ID() model.SiteID { return p.ep.ID() }
 
-// Close detaches the peer and fails all pending calls.
+// Close detaches the peer and fails all pending calls: each pending
+// callback runs once with a nil envelope.
 func (p *Peer) Close() error {
 	p.mu.Lock()
 	p.closed = true
-	for corr, ch := range p.pending {
-		close(ch)
+	failed := make([]func(*Envelope), 0, len(p.pending))
+	for corr, onReply := range p.pending {
+		failed = append(failed, onReply)
 		delete(p.pending, corr)
 	}
 	p.mu.Unlock()
+	for _, onReply := range failed {
+		onReply(nil)
+	}
 	return p.ep.Close()
+}
+
+// Start sends a request to `to` now and returns its correlation ID without
+// waiting for the reply. When the reply arrives, onReply runs once with it,
+// on the transport goroutine that received it — so onReply must not block
+// (a send into a channel with a slot reserved for this reply is the
+// intended use). If the peer closes first, onReply runs with nil. It never
+// runs if Start returns an error (nothing was sent) or after Forget. The
+// request body travels typed: the transport encodes it at flush time with
+// the connection's negotiated codec.
+func (p *Peer) Start(ctx context.Context, to model.SiteID, kind MsgKind, body Body, onReply func(*Envelope)) (uint64, error) {
+	corr := p.corr.Add(1)
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return 0, ErrClosed
+	}
+	p.pending[corr] = onReply
+	p.mu.Unlock()
+
+	env := &Envelope{From: p.ep.ID(), To: to, Kind: kind, Corr: corr, Body: body, Trace: uint64(trace.IDFromContext(ctx))}
+	if err := p.ep.Send(ctx, env); err != nil {
+		p.Forget(corr)
+		return 0, err
+	}
+	return corr, nil
+}
+
+// Forget abandons a started call whose reply is no longer wanted: its
+// pending entry goes now, and a reply arriving later is dropped.
+func (p *Peer) Forget(corr uint64) {
+	p.mu.Lock()
+	delete(p.pending, corr)
+	p.mu.Unlock()
+}
+
+// Collect receives the replies of one round of started calls from
+// replies, handing each to take, until n have arrived, take returns false,
+// timeout passes or ctx ends. A reply already delivered is taken even
+// after the deadline, so a slow leg the caller ran inline costs the round
+// no remote answer. One timer covers the whole round.
+func Collect[R any](ctx context.Context, replies <-chan R, n int, timeout time.Duration, take func(R) bool) {
+	if n <= 0 {
+		return
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for ; n > 0; n-- {
+		var r R
+		select {
+		case r = <-replies:
+		default:
+			select {
+			case r = <-replies:
+			case <-timer.C:
+				return
+			case <-ctx.Done():
+				return
+			}
+		}
+		if !take(r) {
+			return
+		}
+	}
+}
+
+// DecodeReply decodes a reply envelope into respBody (skipped when nil),
+// converting a KindError reply back into the error it carries (preserving
+// abort causes).
+func DecodeReply(reply *Envelope, respBody Body) error {
+	if reply.Kind == KindError {
+		var eb ErrorBody
+		if err := (Payload{Codec: reply.Codec, Bytes: reply.Payload}).Decode(&eb); err != nil {
+			return err
+		}
+		return eb.Err()
+	}
+	if respBody != nil {
+		return (Payload{Codec: reply.Codec, Bytes: reply.Payload}).Decode(respBody)
+	}
+	return nil
 }
 
 // Call sends a request to `to` and blocks until the reply arrives, ctx is
 // done, or the peer closes. The reply payload is decoded into respBody when
-// respBody is non-nil. A KindError reply is converted back into the error
-// it carries (preserving abort causes). The request body travels typed: the
-// transport encodes it at flush time with the connection's negotiated
-// codec. See the generic Call helper for the declare-free typed form.
+// respBody is non-nil (see DecodeReply). See the generic Call helper for
+// the declare-free typed form.
 func (p *Peer) Call(ctx context.Context, to model.SiteID, kind MsgKind, body, respBody Body) error {
-	corr := p.corr.Add(1)
 	ch := make(chan *Envelope, 1)
-
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	p.pending[corr] = ch
-	p.mu.Unlock()
-
-	defer func() {
-		p.mu.Lock()
-		delete(p.pending, corr)
-		p.mu.Unlock()
-	}()
-
-	env := &Envelope{From: p.ep.ID(), To: to, Kind: kind, Corr: corr, Body: body, Trace: uint64(trace.IDFromContext(ctx))}
-	if err := p.ep.Send(ctx, env); err != nil {
+	corr, err := p.Start(ctx, to, kind, body, func(env *Envelope) { ch <- env })
+	if err != nil {
 		return err
 	}
-
 	select {
 	case <-ctx.Done():
+		p.Forget(corr)
 		return ctx.Err()
-	case reply, ok := <-ch:
-		if !ok {
+	case reply := <-ch:
+		if reply == nil {
 			return ErrClosed
 		}
-		if reply.Kind == KindError {
-			var eb ErrorBody
-			if err := (Payload{Codec: reply.Codec, Bytes: reply.Payload}).Decode(&eb); err != nil {
-				return err
-			}
-			return eb.Err()
-		}
-		if respBody != nil {
-			return (Payload{Codec: reply.Codec, Bytes: reply.Payload}).Decode(respBody)
-		}
-		return nil
+		return DecodeReply(reply, respBody)
 	}
 }
 
@@ -188,13 +253,13 @@ func (p *Peer) SetAsyncServe(f AsyncServeFunc) {
 func (p *Peer) handle(env *Envelope) {
 	if env.Reply {
 		p.mu.Lock()
-		ch, ok := p.pending[env.Corr]
+		onReply, ok := p.pending[env.Corr]
 		if ok {
 			delete(p.pending, env.Corr)
 		}
 		p.mu.Unlock()
 		if ok {
-			ch <- env
+			onReply(env)
 		}
 		return // late/duplicate replies are dropped
 	}
@@ -238,22 +303,33 @@ func (p *Peer) serveSync(env *Envelope) {
 
 // handleBatch dispatches one decoded wire frame: all replies resolve in a
 // single pending-map critical section (the frame-level batching win on the
-// caller side of coalesced RPC fan-ins), then requests dispatch through the
-// normal per-envelope path.
+// caller side of coalesced RPC fan-ins), their callbacks run after it, and
+// then requests dispatch through the normal per-envelope path.
 func (p *Peer) handleBatch(envs []*Envelope) {
-	var requests []*Envelope
+	type resolved struct {
+		onReply func(*Envelope)
+		env     *Envelope
+	}
+	var (
+		requests []*Envelope
+		buf      [16]resolved // frames rarely carry more; no allocation then
+		replies  = buf[:0]
+	)
 	p.mu.Lock()
 	for _, env := range envs {
 		if !env.Reply {
 			requests = append(requests, env)
 			continue
 		}
-		if ch, ok := p.pending[env.Corr]; ok {
+		if onReply, ok := p.pending[env.Corr]; ok {
 			delete(p.pending, env.Corr)
-			ch <- env // cap-1 buffered and only the map winner sends: never blocks
+			replies = append(replies, resolved{onReply, env})
 		}
 	}
 	p.mu.Unlock()
+	for _, r := range replies {
+		r.onReply(r.env)
+	}
 	for _, env := range requests {
 		p.handle(env)
 	}

@@ -185,3 +185,105 @@ func TestServerlessPeerRepliesError(t *testing.T) {
 		t.Error("peer with nil ServeFunc should return an error reply")
 	}
 }
+
+// TestStartRoundOneChannel: several started calls deliver their replies on
+// one channel, and once every reply is in no pending entry remains.
+func TestStartRoundOneChannel(t *testing.T) {
+	_, client := newPair(t, func(_ model.SiteID, _ trace.ID, _ wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
+		var req wire.ReadCopyReq
+		if err := pay.Decode(&req); err != nil {
+			return 0, nil, err
+		}
+		return wire.KindReadCopy, &wire.ReadCopyResp{Value: int64(req.Tx.Seq)}, nil
+	})
+	const legs = 4
+	replies := make(chan *wire.Envelope, legs)
+	for i := 1; i <= legs; i++ {
+		if _, err := client.Start(context.Background(), "server", wire.KindReadCopy,
+			&wire.ReadCopyReq{Tx: model.TxID{Site: "c", Seq: uint64(i)}}, func(env *wire.Envelope) { replies <- env }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := int64(0)
+	for i := 0; i < legs; i++ {
+		var resp wire.ReadCopyResp
+		if err := wire.DecodeReply(<-replies, &resp); err != nil {
+			t.Fatal(err)
+		}
+		sum += resp.Value
+	}
+	if sum != 1+2+3+4 {
+		t.Errorf("replies sum to %d", sum)
+	}
+	if n := client.Pending(); n != 0 {
+		t.Errorf("%d pending entries after every reply arrived", n)
+	}
+}
+
+// TestForgottenCallDropsLateReply: a round that gave up on a call forgets
+// it; the reply that arrives afterwards is dropped, never reaches the
+// callback, and leaves no pending entry.
+func TestForgottenCallDropsLateReply(t *testing.T) {
+	release := make(chan struct{})
+	served := make(chan struct{}, 1)
+	_, client := newPair(t, func(model.SiteID, trace.ID, wire.MsgKind, wire.Payload) (wire.MsgKind, wire.Body, error) {
+		<-release
+		served <- struct{}{}
+		return wire.KindOK, &wire.OKBody{}, nil
+	})
+	var delivered atomic.Int32
+	corr, err := client.Start(context.Background(), "server", wire.KindPing, &wire.PingReq{}, func(*wire.Envelope) { delivered.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := client.Pending(); n != 1 {
+		t.Fatalf("%d pending entries while the call is in flight; want 1", n)
+	}
+	client.Forget(corr)
+	if n := client.Pending(); n != 0 {
+		t.Fatalf("%d pending entries after Forget", n)
+	}
+	close(release)
+	<-served
+	// A ping round trip behind the late reply proves it has been handled.
+	if err := client.Call(context.Background(), "server", wire.KindPing, &wire.PingReq{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := delivered.Load(); n != 0 {
+		t.Errorf("forgotten call's callback ran %d times", n)
+	}
+	if n := client.Pending(); n != 0 {
+		t.Errorf("%d pending entries after the late reply", n)
+	}
+}
+
+// TestCloseFailsStartedCalls: closing the peer runs every pending callback
+// once with a nil envelope.
+func TestCloseFailsStartedCalls(t *testing.T) {
+	net := simnet.New(simnet.Config{})
+	if _, err := wire.NewPeer(net, "server", func(model.SiteID, trace.ID, wire.MsgKind, wire.Payload) (wire.MsgKind, wire.Body, error) {
+		return wire.KindOK, &wire.OKBody{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	client, err := wire.NewPeer(net, "client", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Pause("server")
+	replies := make(chan *wire.Envelope, 2)
+	for i := 0; i < 2; i++ {
+		if _, err := client.Start(context.Background(), "server", wire.KindPing, &wire.PingReq{}, func(env *wire.Envelope) { replies <- env }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client.Close()
+	for i := 0; i < 2; i++ {
+		if env := <-replies; env != nil {
+			t.Errorf("closed call delivered %+v; want nil", env)
+		}
+	}
+	if _, err := client.Start(context.Background(), "server", wire.KindPing, &wire.PingReq{}, func(*wire.Envelope) {}); !errors.Is(err, wire.ErrClosed) {
+		t.Errorf("Start after Close = %v; want ErrClosed", err)
+	}
+}
