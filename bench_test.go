@@ -16,7 +16,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -660,19 +659,19 @@ func BenchmarkLockContention(b *testing.B) {
 }
 
 // BenchmarkWALGroupCommit measures parallel Prepared-record forces against
-// a synced file log: "direct" is the pre-group-commit design (one
+// a synced segmented log: "direct" is the pre-group-commit design (one
 // write/flush/fsync per append under a mutex), "group" parks concurrent
 // appenders on the committer and pays one force per batch.
 func BenchmarkWALGroupCommit(b *testing.B) {
 	for _, mode := range []struct {
 		name string
-		opts wal.FileOptions
+		opts wal.SegmentOptions
 	}{
-		{"direct", wal.FileOptions{Sync: true, NoGroupCommit: true}},
-		{"group", wal.FileOptions{Sync: true}},
+		{"direct", wal.SegmentOptions{Sync: true, NoGroupCommit: true}},
+		{"group", wal.SegmentOptions{Sync: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			l, err := wal.OpenFileWith(filepath.Join(b.TempDir(), "bench.wal"), mode.opts)
+			l, err := wal.OpenSegmented(b.TempDir(), mode.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -709,46 +708,40 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 // ---- Durability microbenchmarks (checkpoint / segmented-WAL tentpole) ----
 
 // BenchmarkWALAppend measures single-appender record encoding + write cost
-// on the segmented log, binary codec vs the legacy-compatible JSON codec
-// (no fsync, no group commit: the codec and framing are the variables).
+// on the segmented log (no fsync, no group commit: encoding and framing are
+// the variables).
 func BenchmarkWALAppend(b *testing.B) {
-	for _, codecName := range []string{"binary", "json"} {
-		b.Run(codecName, func(b *testing.B) {
-			codec, err := wal.CodecByName(codecName)
-			if err != nil {
-				b.Fatal(err)
-			}
-			l, err := wal.OpenSegmented(b.TempDir(), wal.SegmentOptions{
-				Codec: codec, NoGroupCommit: true, SegmentBytes: 64 << 20,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rec := wal.Record{
-				Type:         wal.RecPrepared,
-				Tx:           model.TxID{Site: "S1", Seq: 1},
-				TS:           model.Timestamp{Time: 42, Site: "S1"},
-				Coordinator:  "S1",
-				Participants: []model.SiteID{"S1", "S2", "S3"},
-				Writes: []model.WriteRecord{
-					{Item: "item-a", Value: 12345, Version: 7},
-					{Item: "item-b", Value: -9876, Version: 8},
-				},
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec.Tx.Seq = uint64(i + 1)
-				if err := l.Append(rec); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(l.AppendedBytes())/float64(b.N), "B/rec")
-			if err := l.Close(); err != nil {
-				b.Fatal(err)
-			}
+	b.Run("binary", func(b *testing.B) {
+		l, err := wal.OpenSegmented(b.TempDir(), wal.SegmentOptions{
+			NoGroupCommit: true, SegmentBytes: 64 << 20,
 		})
-	}
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := wal.Record{
+			Type:         wal.RecPrepared,
+			Tx:           model.TxID{Site: "S1", Seq: 1},
+			TS:           model.Timestamp{Time: 42, Site: "S1"},
+			Coordinator:  "S1",
+			Participants: []model.SiteID{"S1", "S2", "S3"},
+			Writes: []model.WriteRecord{
+				{Item: "item-a", Value: 12345, Version: 7},
+				{Item: "item-b", Value: -9876, Version: 8},
+			},
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec.Tx.Seq = uint64(i + 1)
+			if err := l.Append(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(l.AppendedBytes())/float64(b.N), "B/rec")
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 // ckptBenchStore builds an n-item store over the given shard count and
@@ -1195,12 +1188,8 @@ func BenchmarkThreePCTermination(b *testing.B) {
 // between two peers over a real loopback socket. batch=1 flushes one
 // buffered write (≈ one syscall) per envelope — the pre-coalescing design;
 // batch=128 lets the writer goroutine drain its whole queue into
-// multi-envelope frames; codec=gob is batch=128 with both sides pinned to
-// the gob body codec (the net_codec ablation — its ns/op against batch=128
-// is the end-to-end transport win of the negotiated binary codec); legacy
-// coalesces writes but speaks the original per-envelope gob framing with
-// no slice dispatch. env/flush is the measured envelopes-per-write-syscall
-// ratio.
+// multi-envelope frames. env/flush is the measured
+// envelopes-per-write-syscall ratio.
 func BenchmarkNetBatching(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -1208,8 +1197,6 @@ func BenchmarkNetBatching(b *testing.B) {
 	}{
 		{"batch=1", tcpnet.Options{MaxBatch: 1}},
 		{"batch=128", tcpnet.Options{}},
-		{"codec=gob", tcpnet.Options{Codec: "gob"}},
-		{"legacy", tcpnet.Options{LegacyFraming: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			net := tcpnet.NewWithOptions(map[model.SiteID]string{}, mode.opts)
@@ -1251,12 +1238,9 @@ func BenchmarkNetBatching(b *testing.B) {
 	}
 }
 
-// BenchmarkWireCodec prices one body encode or decode per message-body
-// class, hand-rolled binary vs per-message gob (a fresh encoder/decoder
-// each call, exactly what the transport pays per envelope — gob's
-// compileDec was ~54% of transport-bench CPU before the typed codec).
-// Recorded in BENCH_baseline.json; CI gates the decode-side binary:gob
-// ratios so the codec win cannot silently erode.
+// BenchmarkWireCodec prices one binary body encode or decode per
+// message-body class. Recorded in BENCH_baseline.json; CI gates ns/op and
+// allocs/op against it.
 func BenchmarkWireCodec(b *testing.B) {
 	tx := model.TxID{Site: "S1", Seq: 42}
 	ts := model.Timestamp{Time: 7_000_000, Site: "S2"}
@@ -1302,10 +1286,6 @@ func BenchmarkWireCodec(b *testing.B) {
 	}
 	for _, c := range classes {
 		binEnc := c.body.AppendTo(nil)
-		gobEnc, err := wire.Marshal(c.body)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.Run(c.name+"/encode-binary", func(b *testing.B) {
 			var buf []byte
 			b.ReportAllocs()
@@ -1313,27 +1293,10 @@ func BenchmarkWireCodec(b *testing.B) {
 				buf = c.body.AppendTo(buf[:0])
 			}
 		})
-		b.Run(c.name+"/encode-gob", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := wire.Marshal(c.body); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(c.name+"/decode-binary", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := c.fresh().DecodeFrom(binEnc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(c.name+"/decode-gob", func(b *testing.B) {
-			pay := wire.Payload{Codec: wire.CodecGob, Bytes: gobEnc}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := pay.Decode(c.fresh()); err != nil {
 					b.Fatal(err)
 				}
 			}

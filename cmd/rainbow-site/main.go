@@ -29,8 +29,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "this site's listen address")
 	nsAddr := flag.String("ns", "127.0.0.1:7000", "name server address")
 	book := flag.String("peers", "", "comma-separated peer address book: S1=host:port,S2=host:port")
-	walPath := flag.String("wal", "", "WAL directory (segmented binary log); empty = in-memory log. An existing regular file is opened as a legacy JSON-lines log (no checkpointing)")
-	walCodec := flag.String("wal-codec", "binary", "segment record codec: binary or json")
+	walPath := flag.String("wal", "", "WAL directory (segmented binary log); empty = in-memory log")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "segment rotation threshold; 0 derives one from -checkpoint-bytes (compaction reclaims whole segments, so several must fit per checkpoint)")
 	cfgPath := flag.String("config", "", "experiment configuration (JSON); empty = fetch from name server")
 	shards := flag.Int("shards", 0, "data-plane shard count (0 = GOMAXPROCS-derived)")
@@ -43,11 +42,9 @@ func main() {
 	pipeOn := flag.Bool("pipeline", true, "run copy operations through per-shard command pipelines with stage batching; false restores the synchronous per-request path (ablation; a config file's pipeline_disable also disables it)")
 	pipeDepth := flag.Int("pipeline-depth", 0, "per-shard pipeline queue bound (0 = default or the config file's value)")
 	pipeBatch := flag.Int("pipeline-max-batch", 0, "largest batch one pipeline sequencer drains (0 = default or the config file's value)")
-	netLegacy := flag.Bool("net-legacy", false, "send the legacy single-envelope gob framing instead of coalesced multi-envelope frames (for pre-framing peers; inbound framing is auto-detected either way)")
 	netQueue := flag.Int("net-queue", 0, "per-connection send queue bound (0 = default)")
 	netBatch := flag.Int("net-batch", 0, "largest envelope batch one transport flush carries (0 = default)")
 	netFlushDelay := flag.Duration("net-flush-delay", 0, "extra time the transport writer waits for more envelopes before flushing a non-full batch (0 = flush as soon as the queue drains)")
-	netCodec := flag.String("net-codec", "", "wire body codec: binary (negotiated, with gob fallback for peers that don't negotiate) or gob (pin to gob; ablation). Empty defers to the config file's net_codec, default binary")
 	traceRate := flag.Float64("trace-sample", 0, "fraction of home transactions traced end to end (0 = only the config file's trace_sample_rate, if any)")
 	traceRing := flag.Int("trace-ring", 0, "completed-trace ring bound (0 = default or the config file's value)")
 	traceSlow := flag.Duration("trace-slow", 0, "dump the stage breakdown of root traces slower than this to stderr (0 = only the config file's trace_slow_ms, if any)")
@@ -58,8 +55,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Load the configuration (if any) before the transport: the codec
-	// selection is applied at transport creation and may come from the file.
 	var catalog *schema.Catalog
 	if *cfgPath != "" {
 		exp, err := config.Load(*cfgPath)
@@ -73,17 +68,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	codec := *netCodec
-	if codec == "" && catalog != nil {
-		codec = catalog.Net.Codec
-	}
-	switch codec {
-	case "", "binary", "gob":
-	default:
-		fmt.Fprintf(os.Stderr, "rainbow-site: unknown -net-codec %q (want binary or gob)\n", codec)
-		os.Exit(2)
-	}
-
 	addrs := map[model.SiteID]string{
 		model.NameServerID: *nsAddr,
 		model.SiteID(*id):  *addr,
@@ -99,51 +83,31 @@ func main() {
 		}
 	}
 	net := tcpnet.NewWithOptions(addrs, tcpnet.Options{
-		LegacyFraming: *netLegacy,
-		SendQueue:     *netQueue,
-		MaxBatch:      *netBatch,
-		FlushDelay:    *netFlushDelay,
-		Codec:         codec,
+		SendQueue:  *netQueue,
+		MaxBatch:   *netBatch,
+		FlushDelay: *netFlushDelay,
 	})
 
 	var log wal.Log
 	if *walPath != "" {
-		if st, err := os.Stat(*walPath); err == nil && st.Mode().IsRegular() {
-			// A pre-segment single-file JSON log: keep serving it as-is. To
-			// migrate, move it into a directory as <dir>/00000000000000000000.seg
-			// and point -wal at the directory.
-			fl, err := wal.OpenFile(*walPath, true)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rainbow-site:", err)
-				os.Exit(1)
+		segBytes := *walSegBytes
+		if segBytes <= 0 && *ckptBytes > 0 {
+			// Aim for ~4 segments per checkpoint window so compaction
+			// (whole segments only) can actually reclaim space.
+			segBytes = *ckptBytes / 4
+			if segBytes < 16<<10 {
+				segBytes = 16 << 10
 			}
-			fmt.Fprintf(os.Stderr, "rainbow-site: %s is a legacy JSON-lines WAL; checkpoint/compaction disabled\n", *walPath)
-			log = fl
-		} else {
-			codec, err := wal.CodecByName(*walCodec)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rainbow-site:", err)
-				os.Exit(2)
+			if segBytes > wal.DefaultSegmentBytes {
+				segBytes = wal.DefaultSegmentBytes
 			}
-			segBytes := *walSegBytes
-			if segBytes <= 0 && *ckptBytes > 0 {
-				// Aim for ~4 segments per checkpoint window so compaction
-				// (whole segments only) can actually reclaim space.
-				segBytes = *ckptBytes / 4
-				if segBytes < 16<<10 {
-					segBytes = 16 << 10
-				}
-				if segBytes > wal.DefaultSegmentBytes {
-					segBytes = wal.DefaultSegmentBytes
-				}
-			}
-			sl, err := wal.OpenSegmented(*walPath, wal.SegmentOptions{Sync: true, Codec: codec, SegmentBytes: segBytes})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rainbow-site:", err)
-				os.Exit(1)
-			}
-			log = sl
 		}
+		sl, err := wal.OpenSegmented(*walPath, wal.SegmentOptions{Sync: true, SegmentBytes: segBytes})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "rainbow-site:", err)
+			os.Exit(1)
+		}
+		log = sl
 	}
 
 	cfg := site.Config{

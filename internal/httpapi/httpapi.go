@@ -222,7 +222,6 @@ func pipelineOf(stats monitor.SiteStats) map[string]any {
 		"net_env_per_flush":  stats.NetCoalescing(),
 		"net_recv_frames":    stats.NetRecvFrames,
 		"net_send_sheds":     stats.NetSendSheds,
-		"net_legacy_conns":   stats.NetLegacyConns,
 	}
 }
 

@@ -74,8 +74,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rainbow_trace_sampled_total", "rainbow_trace_fragments_total",
 		"rainbow_tx_latency_seconds_bucket", "rainbow_stage_latency_seconds_bucket",
 		"rainbow_net_messages_total", "rainbow_net_bytes_total",
-		"rainbow_net_sent_bytes_total", "rainbow_net_body_codec_total",
-		`rainbow_net_codec{codec="binary"}`, `rainbow_net_codec{codec="gob"}`,
+		"rainbow_net_sent_bytes_total", `rainbow_net_messages_total{kind="sent"}`,
 	} {
 		if !bytes.Contains(body, []byte(family)) {
 			t.Errorf("metrics missing family %s", family)

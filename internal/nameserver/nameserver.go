@@ -8,7 +8,6 @@ package nameserver
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -72,10 +71,6 @@ func (r *CatalogPushMsg) AppendTo(buf []byte) []byte { return wire.AppendGob(buf
 func (r *CatalogPushMsg) DecodeFrom(p []byte) error { return wire.DecodeGob(p, r) }
 
 func init() {
-	// gob registrations stay for interop with gob-codec peers.
-	gob.Register(CatalogResp{})
-	gob.Register(SetCatalogReq{})
-	gob.Register(CatalogPushMsg{})
 	wire.RegisterBody(wire.KindGetCatalog, true, func() wire.Body { return &CatalogResp{} })
 	wire.RegisterBody(wire.KindSetCatalog, false, func() wire.Body { return &SetCatalogReq{} })
 	wire.RegisterBody(wire.KindCatalogPush, false, func() wire.Body { return &CatalogPushMsg{} })

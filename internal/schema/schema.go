@@ -122,18 +122,6 @@ type PipelinePolicy struct {
 	MaxBatch int
 }
 
-// NetPolicy configures the wire transport. Carried in the catalog so an
-// experiment's codec selection is recorded cluster-wide; each site applies
-// it when it creates its transport (rainbow-site -net-codec), since a live
-// catalog update cannot renegotiate already-established connections.
-type NetPolicy struct {
-	// Codec selects the envelope body codec the transport negotiates:
-	// "" or "binary" (default: compact binary, falling back to gob for
-	// peers that don't negotiate) or "gob" (pin every connection to gob —
-	// the ablation knob for codec experiments).
-	Codec string
-}
-
 // TracePolicy configures each site's transaction tracer. The zero value
 // keeps tracing off (stage histograms still accumulate; only per-transaction
 // trace capture is sampled).
@@ -202,9 +190,6 @@ type Catalog struct {
 	// Trace is the per-site transaction-tracing policy, carried in the
 	// catalog for the same reason as Shards.
 	Trace TracePolicy
-	// Net is the wire-transport policy, carried in the catalog for the same
-	// reason as Shards. Sites apply it at transport creation only.
-	Net NetPolicy
 	// Epoch increments on every catalog update so sites can detect staleness.
 	Epoch uint64
 }
@@ -229,7 +214,6 @@ func (c *Catalog) Clone() *Catalog {
 		Checkpoint: c.Checkpoint,
 		Pipeline:   c.Pipeline,
 		Trace:      c.Trace,
-		Net:        c.Net,
 		Epoch:      c.Epoch,
 	}
 	for k, v := range c.Sites {
@@ -303,11 +287,6 @@ type Diff struct {
 	Timeouts bool
 	// Trace marks a tracing-policy change.
 	Trace bool
-	// Net marks a wire-transport policy change. Like Sites it is not
-	// material: the codec is fixed when a site creates its transport, so a
-	// running site has nothing to act on — the new policy takes effect at
-	// the next process start.
-	Net bool
 }
 
 // Material reports whether the diff changes anything a site acts on. Pure
@@ -336,7 +315,7 @@ func (d Diff) String() string {
 		{d.Sites, "sites"}, {d.Items, "items"}, {d.Shards, "shards"},
 		{d.Checkpoint, "checkpoint"}, {d.Pipeline, "pipeline"},
 		{d.Protocols, "protocols"}, {d.Timeouts, "timeouts"},
-		{d.Trace, "trace"}, {d.Net, "net"},
+		{d.Trace, "trace"},
 	} {
 		if f.on {
 			parts = append(parts, f.name)
@@ -359,7 +338,6 @@ func (c *Catalog) DiffFrom(old *Catalog) Diff {
 		Protocols:  c.Protocols != old.Protocols,
 		Timeouts:   c.Timeouts != old.Timeouts,
 		Trace:      c.Trace != old.Trace,
-		Net:        c.Net != old.Net,
 		Sites:      !reflect.DeepEqual(c.Sites, old.Sites),
 		Items:      !reflect.DeepEqual(c.Items, old.Items),
 	}
@@ -389,11 +367,6 @@ func (c *Catalog) Validate() error {
 	case "wait-die", "detect", "timeout", "":
 	default:
 		return fmt.Errorf("schema: unknown deadlock policy %q", c.Protocols.Deadlock)
-	}
-	switch c.Net.Codec {
-	case "", "binary", "gob":
-	default:
-		return fmt.Errorf("schema: unknown net codec %q", c.Net.Codec)
 	}
 	for id, m := range c.Items {
 		if id == "" {

@@ -47,11 +47,6 @@ type Stats struct {
 	Delivered uint64
 	Dropped   uint64 // lost to DropRate, partitions, or paused destinations
 	Bytes     uint64 // bytes of delivered messages
-	// CodecBinary/CodecGob count sent messages by body codec. In-process
-	// peers always negotiate binary, so gob only appears for raw payloads
-	// injected by tests.
-	CodecBinary uint64
-	CodecGob    uint64
 	// PerLink counts delivered messages per directed (from,to) pair.
 	PerLink map[LinkKey]uint64
 }
@@ -72,7 +67,6 @@ type Net struct {
 	partition map[model.SiteID]int // partition group; absent = group 0
 
 	sent, delivered, dropped, bytes uint64
-	codecBinary, codecGob           uint64
 	perLink                         map[LinkKey]uint64
 }
 
@@ -186,7 +180,7 @@ func (n *Net) Stats() Stats {
 	}
 	return Stats{
 		Sent: n.sent, Delivered: n.delivered, Dropped: n.dropped, Bytes: n.bytes,
-		CodecBinary: n.codecBinary, CodecGob: n.codecGob, PerLink: per,
+		PerLink: per,
 	}
 }
 
@@ -195,7 +189,6 @@ func (n *Net) ResetStats() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.sent, n.delivered, n.dropped, n.bytes = 0, 0, 0, 0
-	n.codecBinary, n.codecGob = 0, 0
 	n.perLink = make(map[LinkKey]uint64)
 }
 
@@ -214,14 +207,11 @@ func (nd *node) Close() error {
 
 // Send implements wire.Endpoint. It applies partition, drop and latency
 // rules, then delivers asynchronously on a timer goroutine. The typed body
-// is flattened to the binary codec before delivery — in-process peers all
-// speak it, and encoding even here preserves the package's promises: real
-// message sizes, no pointer sharing, and byte traffic identical to what the
-// TCP transport's negotiated-binary connections carry.
+// is encoded before delivery, exactly as the TCP transport encodes it, which
+// preserves the package's promises: real message sizes, no pointer sharing,
+// and byte traffic identical to what TCP connections carry.
 func (nd *node) Send(_ context.Context, env *wire.Envelope) error {
-	if err := env.Flatten(wire.CodecBinary); err != nil {
-		return fmt.Errorf("simnet: encode %v body: %w", env.Kind, err)
-	}
+	env.Flatten()
 	n := nd.net
 	n.mu.Lock()
 	if nd.closed {
@@ -234,11 +224,6 @@ func (nd *node) Send(_ context.Context, env *wire.Envelope) error {
 		return nil
 	}
 	n.sent++
-	if env.Codec == wire.CodecBinary {
-		n.codecBinary++
-	} else {
-		n.codecGob++
-	}
 	dst, ok := n.nodes[env.To]
 	if !ok || dst.closed {
 		n.dropped++

@@ -2,6 +2,7 @@ package site
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -172,19 +173,18 @@ func TestSiteIntervalCheckpointTrigger(t *testing.T) {
 // records alone T looks in-doubt. The snapshot's decision table knows the
 // outcome; recovery must NOT re-lock T's write set.
 //
-// Sparse rewriting (record-granular pinning) makes this layout impossible
-// for binary segments — a rewrite sheds decided transactions' records — but
-// legacy JSON-lines segments are kept whole when pinned, so logs from the
-// pre-segment era can still present it. The test builds exactly that: both
-// Prepared records pre-seeded in a legacy segment.
+// Sparse rewriting (record-granular pinning) normally sheds the decided
+// transaction's records, but a rewrite that fails keeps the pinned segment
+// whole while compaction still deletes the later segments. The test builds
+// exactly that: both Prepared records seeded in one segment whose sparse
+// rewrite is made to fail.
 func TestSiteRecoverySkipsSnapshotDecidedTx(t *testing.T) {
 	dir := t.TempDir()
 	orphan := model.TxID{Site: "Z", Seq: 1}
 	decided := model.TxID{Site: "Z", Seq: 2}
 
-	// A legacy (headerless JSON-lines) segment holding the two Prepared
-	// records; compaction keeps it whole as long as the orphan pins it.
-	fl, err := wal.OpenFile(filepath.Join(dir, "00000000000000000000.seg"), false)
+	// A segment holding just the two Prepared records.
+	fl, err := wal.OpenSegmented(dir, wal.SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +205,10 @@ func TestSiteRecoverySkipsSnapshotDecidedTx(t *testing.T) {
 	}
 	if err := fl.Close(); err != nil {
 		t.Fatal(err)
+	}
+	seeded0, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(seeded0) != 1 {
+		t.Fatalf("seeded segments = %v (%v), want one", seeded0, err)
 	}
 
 	// Tiny segments so the Decision record's binary segment seals (and
@@ -230,6 +234,11 @@ func TestSiteRecoverySkipsSnapshotDecidedTx(t *testing.T) {
 	if n := st.InDoubtCount(); n != 2 {
 		t.Fatalf("in-doubt after seeded open = %d, want 2", n)
 	}
+	// Block the seeded segment's sparse-rewrite temp path with a directory:
+	// the rewrite fails and compaction keeps the segment whole.
+	if err := os.Mkdir(seeded0[0]+".seg-rewrite", 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.part.HandleDecision(decided, true); err != nil {
 		t.Fatal(err)
 	}
@@ -247,12 +256,14 @@ func TestSiteRecoverySkipsSnapshotDecidedTx(t *testing.T) {
 			t.Fatalf("write: %+v", out)
 		}
 	}
-	if err := st.Checkpoint(); err != nil {
-		t.Fatal(err)
+	// The snapshot is saved; only the compaction step reports the failed
+	// rewrite.
+	if err := st.Checkpoint(); err == nil {
+		t.Fatal("checkpoint over a blocked sparse rewrite reported no error")
 	}
 
 	// Precondition for a non-vacuous test: the decided transaction's
-	// Prepared record is retained (whole-kept legacy segment, pinned by the
+	// Prepared record is retained (whole-kept segment, pinned by the
 	// orphan) but its Decision record was compacted away.
 	recs, err := l.ReadAll()
 	if err != nil {

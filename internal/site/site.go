@@ -16,7 +16,6 @@ package site
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -76,9 +75,6 @@ func (r *HistoryResp) AppendTo(buf []byte) []byte { return wire.AppendGob(buf, r
 func (r *HistoryResp) DecodeFrom(p []byte) error { return wire.DecodeGob(p, r) }
 
 func init() {
-	// gob registrations stay for interop with gob-codec peers.
-	gob.Register(StatsResp{})
-	gob.Register(HistoryResp{})
 	wire.RegisterBody(wire.KindGetStats, true, func() wire.Body { return &StatsResp{} })
 	wire.RegisterBody(wire.KindGetHistory, true, func() wire.Body { return &HistoryResp{} })
 }
@@ -102,8 +98,8 @@ type Config struct {
 	Shards int
 	// Checkpoint sets the checkpoint/compaction policy; zero values fall
 	// back to the catalog's policy. Checkpointing engages only when the WAL
-	// supports compaction (the segmented and in-memory logs; the legacy
-	// single-file JSON log does not).
+	// supports compaction (wal.Compactable: the segmented and in-memory
+	// logs).
 	Checkpoint schema.CheckpointPolicy
 	// Pipeline sets the per-shard command-pipeline policy for the copy-
 	// operation hot path; zero fields fall back to the catalog's policy.
@@ -918,10 +914,7 @@ func (s *Site) Stats() monitor.SiteStats {
 		stats.NetRecvEnvelopes = n.RecvEnvelopes
 		stats.NetRecvFrames = n.RecvFrames
 		stats.NetSendSheds = n.SendSheds
-		stats.NetLegacyConns = n.LegacyConns
 		stats.NetSentBytes = n.SentBytes
-		stats.NetBinaryBodies = n.SentBinaryBodies
-		stats.NetGobBodies = n.SentGobBodies
 	}
 	stats.Stages = s.tracer.StageHistograms()
 	ts := s.tracer.Stats()

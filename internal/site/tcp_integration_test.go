@@ -16,8 +16,8 @@ import (
 )
 
 // TestTCPDeployment exercises the real multi-process deployment path in one
-// process: name server and three sites over TCP with file-backed WALs, site
-// registration, a remote workload through the SubmitTx RPC (the WLGlet
+// process: name server and three sites over TCP with segmented file WALs,
+// site registration, a remote workload through the SubmitTx RPC (the WLGlet
 // path), and a file-WAL restart.
 func TestTCPDeployment(t *testing.T) {
 	net := tcpnet.New(nil)
@@ -43,8 +43,8 @@ func TestTCPDeployment(t *testing.T) {
 	sites := make(map[model.SiteID]*Site)
 	logs := make(map[model.SiteID]string)
 	for _, id := range ids {
-		logs[id] = filepath.Join(dir, string(id)+".wal")
-		fl, err := wal.OpenFile(logs[id], false)
+		logs[id] = filepath.Join(dir, string(id)+"-wal")
+		fl, err := wal.OpenSegmented(logs[id], wal.SegmentOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestTCPDeployment(t *testing.T) {
 	addr, _ := net.Addr("A")
 	sites["A"].Close()
 	net.SetAddr("A", addr)
-	fl, err := wal.OpenFile(logs["A"], false)
+	fl, err := wal.OpenSegmented(logs["A"], wal.SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,17 +109,16 @@ func TestTCPDeployment(t *testing.T) {
 	}
 }
 
-// TestTCPMixedCodecCluster runs a heterogeneous cluster over real TCP:
-// sites A and B negotiate the binary body codec between themselves while
-// site C pins gob (the net_codec=gob ablation — a stand-in for an old
-// binary that predates the CodecHello). Cross-codec traffic must fall back
-// to gob in both directions, and the soak-style invariants — every
+// TestTCPCrossProcessCluster runs a cluster split across two transports
+// over real TCP, as separate processes would be: sites A and B share one
+// net while site C runs on its own, and the two address books only learn
+// of each other's sites through SetAddr. The soak-style invariants — every
 // submitted transaction decided, committed writes visible, copies of a
-// replicated item agreeing at every site — must hold across the codec
-// boundary.
-func TestTCPMixedCodecCluster(t *testing.T) {
-	binNet := tcpnet.New(nil)
-	gobNet := tcpnet.NewWithOptions(nil, tcpnet.Options{Codec: "gob"})
+// replicated item agreeing at every site — must hold across the split, and
+// every body either side sent is binary.
+func TestTCPCrossProcessCluster(t *testing.T) {
+	abNet := tcpnet.New(nil)
+	cNet := tcpnet.New(nil)
 
 	cat := schema.NewCatalog()
 	ids := []model.SiteID{"A", "B", "C"}
@@ -133,7 +132,7 @@ func TestTCPMixedCodecCluster(t *testing.T) {
 		Lock: time.Second, OrphanResolve: 100 * time.Millisecond,
 	}
 
-	nets := map[model.SiteID]*tcpnet.Net{"A": binNet, "B": binNet, "C": gobNet}
+	nets := map[model.SiteID]*tcpnet.Net{"A": abNet, "B": abNet, "C": cNet}
 	sites := make(map[model.SiteID]*Site)
 	for _, id := range ids {
 		st, err := New(Config{ID: id, Net: nets[id], Catalog: cat})
@@ -154,14 +153,14 @@ func TestTCPMixedCodecCluster(t *testing.T) {
 		if !ok {
 			t.Fatalf("site %s has no resolved address", id)
 		}
-		for _, other := range []*tcpnet.Net{binNet, gobNet} {
+		for _, other := range []*tcpnet.Net{abNet, cNet} {
 			if other != nets[id] {
 				other.SetAddr(id, addr)
 			}
 		}
 	}
 
-	client, err := wire.NewPeer(binNet, "wlg-client", nil)
+	client, err := wire.NewPeer(abNet, "wlg-client", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +169,8 @@ func TestTCPMixedCodecCluster(t *testing.T) {
 	defer cancel()
 
 	// Mixed workload across all three homes: every write 2PC-prepares at
-	// all sites (items replicate everywhere), so A↔B runs binary while
-	// A→C, B→C and all of C's outbound traffic crosses the codec boundary.
+	// all sites (items replicate everywhere), so traffic crosses between
+	// the two nets in both directions.
 	gen := wlg.New(wlg.Profile{
 		Sites: ids, Items: []model.ItemID{"x", "y"},
 		Transactions: 30, MPL: 3, OpsPerTx: 2, ReadFraction: 0.5, Retries: 3,
@@ -181,14 +180,13 @@ func TestTCPMixedCodecCluster(t *testing.T) {
 		t.Fatalf("submitted = %d", res.Submitted)
 	}
 	if res.Committed == 0 {
-		t.Fatalf("nothing committed across the codec boundary: %+v", res.ByCause)
+		t.Fatalf("nothing committed across the two nets: %+v", res.ByCause)
 	}
 
-	// Marker write homed at the gob-pinned site: its prepares and decisions
-	// all travel gob→binary.
+	// Marker write homed at C: its prepares and decisions all cross nets.
 	out := wlg.RemoteSubmitter{Peer: client}.Submit(ctx, "C", []model.Op{model.Write("x", 4242)})
 	if !out.Committed {
-		t.Fatalf("write homed at gob site failed: %+v", out)
+		t.Fatalf("write homed at C failed: %+v", out)
 	}
 
 	// Copy agreement: every site's copy of x must converge on the marker
@@ -208,13 +206,9 @@ func TestTCPMixedCodecCluster(t *testing.T) {
 		}
 	}
 
-	// Negotiation outcome: the pinned side must never have sent a binary
-	// body, while the negotiating side used both codecs — binary toward its
-	// binary peer, gob toward the pinned one.
-	if st := gobNet.NetStats(); st.SentBinaryBodies != 0 || st.SentGobBodies == 0 {
-		t.Errorf("gob-pinned net codec counters: %+v", st)
-	}
-	if st := binNet.NetStats(); st.SentBinaryBodies == 0 || st.SentGobBodies == 0 {
-		t.Errorf("negotiating net should have used both codecs: %+v", st)
+	for name, n := range map[string]*tcpnet.Net{"A/B": abNet, "C": cNet} {
+		if st := n.NetStats(); st.SentBinaryBodies == 0 || st.SentGobBodies != 0 {
+			t.Errorf("%s net body counters: %+v", name, st)
+		}
 	}
 }

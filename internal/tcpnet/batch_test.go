@@ -2,13 +2,17 @@ package tcpnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -28,7 +32,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{From: "", To: "", Kind: 0, Corr: 1<<64 - 1, Reply: true, Payload: []byte{}},
 	}
 	var tmp []byte
-	buf, _, _ := appendFrame(nil, in, wire.CodecGob, &tmp)
+	buf := appendFrame(nil, in, &tmp)
 	out, err := decodeFrame(buf[4:]) // skip the frameLen prefix ReadFull consumes
 	if err != nil {
 		t.Fatal(err)
@@ -51,10 +55,10 @@ func TestFrameRoundTrip(t *testing.T) {
 // valid frame to the decoder; every one must error, never panic or succeed.
 func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	var tmp []byte
-	buf, _, _ := appendFrame(nil, []*wire.Envelope{
+	buf := appendFrame(nil, []*wire.Envelope{
 		{From: "a", To: "b", Kind: wire.KindPing, Corr: 7, Payload: []byte("payload")},
 		{From: "b", To: "a", Kind: wire.KindVote, Corr: 8, Payload: []byte("more")},
-	}, wire.CodecGob, &tmp)
+	}, &tmp)
 	body := buf[4:]
 	for cut := 0; cut < len(body); cut++ {
 		if _, err := decodeFrame(body[:cut]); err == nil {
@@ -112,46 +116,87 @@ func TestMultiEnvelopeFrames(t *testing.T) {
 	}
 }
 
-// TestLegacyFramingInterop runs an RPC round trip between a legacy-framing
-// net (no magic, plain gob stream — a peer predating multi-envelope frames)
-// and a current one, in both directions.
-func TestLegacyFramingInterop(t *testing.T) {
-	oldNet := NewWithOptions(nil, Options{LegacyFraming: true})
-	newNet := New(nil)
-
-	oldPeer, err := wire.NewPeer(oldNet, "old", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
-		return wire.KindOK, &wire.OKBody{}, nil
-	})
+// TestUnframedConnectionRejected opens raw connections that do not start
+// with the frame magic — a gob envelope stream as older builds sent it, and
+// plain garbage — and verifies the receiver closes each one without
+// dispatching anything, while a healthy peer still gets through.
+func TestUnframedConnectionRejected(t *testing.T) {
+	n := New(nil)
+	var got atomic.Int32
+	b, err := n.Attach("b", func(*wire.Envelope) { got.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer oldPeer.Close()
-	newPeer, err := wire.NewPeer(newNet, "new", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
-		return wire.KindOK, &wire.OKBody{}, nil
-	})
+	defer b.Close()
+	addr, _ := n.Addr("b")
+
+	gobStream := wire.AppendGob(nil, wire.Envelope{From: "x", To: "b", Kind: wire.KindPing})
+	for name, opening := range map[string][]byte{
+		"gob":     gobStream,
+		"garbage": []byte("GET / HTTP/1.1\r\n\r\n"),
+	} {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raw.Write(opening); err != nil {
+			t.Fatal(err)
+		}
+		// The receiver's writer may send its own magic first; after that
+		// the socket must reach EOF, not sit open until the deadline.
+		raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err = io.Copy(io.Discard, raw)
+		var nerr net.Error
+		if errors.As(err, &nerr) && nerr.Timeout() {
+			t.Errorf("%s opening: connection left open", name)
+		}
+		raw.Close()
+	}
+
+	a, err := n.Attach("a", func(*wire.Envelope) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer newPeer.Close()
-
-	// The two Nets are separate processes in spirit: exchange addresses.
-	oldAddr, _ := oldNet.Addr("old")
-	newAddr, _ := newNet.Addr("new")
-	oldNet.SetAddr("new", newAddr)
-	newNet.SetAddr("old", oldAddr)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	// old → new: the acceptor must sniff the missing magic and fall back.
-	if err := oldPeer.Call(ctx, "new", wire.KindPing, &wire.OKBody{}, nil); err != nil {
-		t.Fatalf("legacy → batched call: %v", err)
+	defer a.Close()
+	if err := a.Send(context.Background(), &wire.Envelope{From: "a", To: "b", Kind: wire.KindPing}); err != nil {
+		t.Fatal(err)
 	}
-	// new → old: the dialer must speak legacy (knob) and parse a gob reply.
-	if err := newPeer.Call(ctx, "old", wire.KindPing, &wire.OKBody{}, nil); err != nil {
-		t.Fatalf("batched → legacy call: %v", err)
+	waitFor(t, func() bool { return got.Load() == 1 }, "healthy peer starved after unframed connections")
+	if got.Load() != 1 {
+		t.Errorf("handler saw %d envelopes, want only the healthy peer's", got.Load())
 	}
-	if st := newNet.NetStats(); st.LegacyConns == 0 {
-		t.Error("batched net accepted a legacy connection but counted none")
+}
+
+// TestSilentInboundConnClosedByClose connects to an endpoint and sends
+// nothing: Close must still tear the accepted socket down, leaving no
+// transport goroutine blocked reading it.
+func TestSilentInboundConnClosedByClose(t *testing.T) {
+	n := New(nil)
+	var got atomic.Int32
+	b, err := n.Attach("b", func(*wire.Envelope) { got.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := n.Addr("b")
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// The listener accepts in arrival order, so once a later peer's
+	// message is delivered the silent connection has been accepted too.
+	a, err := n.Attach("a", func(*wire.Envelope) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Send(context.Background(), &wire.Envelope{From: "a", To: "b", Kind: wire.KindPing}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return got.Load() == 1 }, "message after the silent connection not delivered")
+	a.Close()
+	b.Close()
+	if left := testutil.Lingering("repro/internal/tcpnet.", 2*time.Second); len(left) > 0 {
+		t.Fatalf("%d goroutine(s) outlived Close:\n%s", len(left), strings.Join(left, "\n\n"))
 	}
 }
 
@@ -329,106 +374,45 @@ func TestBatchedRPCStress(t *testing.T) {
 	}
 }
 
-// codecEchoServe is a ReadCopy echo handler for the negotiation tests: the
-// reply carries the request's sequence number back, so a codec mismatch
-// that corrupted a body would surface as a wrong value, not just an error.
-func codecEchoServe(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
-	var req wire.ReadCopyReq
-	if err := pay.Decode(&req); err != nil {
-		return 0, nil, err
-	}
-	return wire.KindReadCopy, &wire.ReadCopyResp{Value: int64(req.Tx.Seq), Version: 1}, nil
-}
-
-// TestCodecNegotiationUpgradesToBinary connects two current nets and
-// verifies the CodecHello handshake settles both directions on the compact
-// binary codec: after a burst of RPCs each way, both sides must have sent
-// binary-encoded bodies (only the dialer's pre-hello requests may ride the
-// gob fallback).
-func TestCodecNegotiationUpgradesToBinary(t *testing.T) {
+// TestFirstExchangeIsBinary makes one call on a fresh connection between
+// two nets: the very first request and the very first reply must already
+// carry binary bodies, with no gob body sent in either direction.
+func TestFirstExchangeIsBinary(t *testing.T) {
 	aNet, bNet := New(nil), New(nil)
-	aPeer, err := wire.NewPeer(aNet, "A", codecEchoServe)
+	echo := func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
+		var req wire.ReadCopyReq
+		if err := pay.Decode(&req); err != nil {
+			return 0, nil, err
+		}
+		return wire.KindReadCopy, &wire.ReadCopyResp{Value: int64(req.Tx.Seq), Version: 1}, nil
+	}
+	aPeer, err := wire.NewPeer(aNet, "A", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer aPeer.Close()
-	bPeer, err := wire.NewPeer(bNet, "B", codecEchoServe)
+	bPeer, err := wire.NewPeer(bNet, "B", echo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bPeer.Close()
-	aAddr, _ := aNet.Addr("A")
 	bAddr, _ := bNet.Addr("B")
 	aNet.SetAddr("B", bAddr)
-	bNet.SetAddr("A", aAddr)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	for i := 1; i <= 8; i++ {
-		resp, err := wire.Call[wire.ReadCopyResp](ctx, aPeer, "B", wire.KindReadCopy,
-			&wire.ReadCopyReq{Tx: model.TxID{Site: "A", Seq: uint64(i)}})
-		if err != nil || resp.Value != int64(i) {
-			t.Fatalf("A→B call %d: value=%v err=%v", i, resp, err)
+	resp, err := wire.Call[wire.ReadCopyResp](ctx, aPeer, "B", wire.KindReadCopy,
+		&wire.ReadCopyReq{Tx: model.TxID{Site: "A", Seq: 7}})
+	if err != nil || resp.Value != 7 {
+		t.Fatalf("first call: value=%v err=%v", resp, err)
+	}
+	// Counters move after the flush completes, which may trail the reply.
+	waitFor(t, func() bool {
+		return aNet.NetStats().SentBatches == 1 && bNet.NetStats().SentBatches == 1
+	}, "request or reply flush not counted")
+	for name, st := range map[string]Stats{"A": aNet.NetStats(), "B": bNet.NetStats()} {
+		if st.SentBinaryBodies != 1 || st.SentGobBodies != 0 {
+			t.Errorf("%s: %d binary / %d gob bodies sent, want 1 / 0", name, st.SentBinaryBodies, st.SentGobBodies)
 		}
-		resp, err = wire.Call[wire.ReadCopyResp](ctx, bPeer, "A", wire.KindReadCopy,
-			&wire.ReadCopyReq{Tx: model.TxID{Site: "B", Seq: uint64(i)}})
-		if err != nil || resp.Value != int64(i) {
-			t.Fatalf("B→A call %d: value=%v err=%v", i, resp, err)
-		}
-	}
-	if st := aNet.NetStats(); st.SentBinaryBodies == 0 {
-		t.Errorf("A sent no binary bodies after negotiation: %+v", st)
-	}
-	if st := bNet.NetStats(); st.SentBinaryBodies == 0 {
-		t.Errorf("B sent no binary bodies after negotiation: %+v", st)
-	}
-}
-
-// TestCodecGobPinnedPeerInterop runs a mixed cluster: one peer pins the
-// gob codec (the net_codec=gob ablation — stands in for an old binary that
-// predates the CodecHello), the other negotiates. Both directions must land
-// on gob — the pinned side never offers binary, so the negotiating side
-// must never send a binary body at it — and every RPC must still round-trip
-// correct values.
-func TestCodecGobPinnedPeerInterop(t *testing.T) {
-	gobNet := NewWithOptions(nil, Options{Codec: "gob"})
-	binNet := New(nil)
-	gobPeer, err := wire.NewPeer(gobNet, "old", codecEchoServe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gobPeer.Close()
-	binPeer, err := wire.NewPeer(binNet, "new", codecEchoServe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer binPeer.Close()
-	gobAddr, _ := gobNet.Addr("old")
-	binAddr, _ := binNet.Addr("new")
-	gobNet.SetAddr("new", binAddr)
-	binNet.SetAddr("old", gobAddr)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for i := 1; i <= 8; i++ {
-		resp, err := wire.Call[wire.ReadCopyResp](ctx, gobPeer, "new", wire.KindReadCopy,
-			&wire.ReadCopyReq{Tx: model.TxID{Site: "old", Seq: uint64(i)}})
-		if err != nil || resp.Value != int64(i) {
-			t.Fatalf("gob→binary call %d: value=%v err=%v", i, resp, err)
-		}
-		resp, err = wire.Call[wire.ReadCopyResp](ctx, binPeer, "old", wire.KindReadCopy,
-			&wire.ReadCopyReq{Tx: model.TxID{Site: "new", Seq: uint64(i)}})
-		if err != nil || resp.Value != int64(i) {
-			t.Fatalf("binary→gob call %d: value=%v err=%v", i, resp, err)
-		}
-	}
-	if st := gobNet.NetStats(); st.SentBinaryBodies != 0 || st.SentGobBodies == 0 {
-		t.Errorf("gob-pinned peer codec counters: %+v", st)
-	}
-	if st := binNet.NetStats(); st.SentBinaryBodies != 0 {
-		t.Errorf("negotiating peer sent binary bodies at a gob-pinned peer: %+v", st)
-	}
-	if st := binNet.NetStats(); st.SentGobBodies == 0 {
-		t.Errorf("negotiating peer sent no gob bodies: %+v", st)
 	}
 }

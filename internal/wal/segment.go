@@ -2,8 +2,8 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -20,10 +20,10 @@ import (
 )
 
 // ErrCorrupt marks a record whose checksum does not match its payload —
-// positive corruption detection, as opposed to the parse-failure heuristic
-// the legacy JSON-lines log relies on. A torn tail (an incomplete final
-// frame left by a crash mid-force) is NOT corruption and is truncated away;
-// ErrCorrupt means a fully framed record failed its CRC.
+// positive corruption detection rather than a parse-failure heuristic. A
+// torn tail (an incomplete final frame left by a crash mid-force) is NOT
+// corruption and is truncated away; ErrCorrupt means a fully framed record
+// failed its CRC.
 var ErrCorrupt = errors.New("wal: corrupt record (crc mismatch)")
 
 // DefaultSegmentBytes is the rotation threshold when SegmentOptions leaves
@@ -54,10 +54,6 @@ var errRedundantSparse = errors.New("wal: redundant sparse rewrite leftover")
 type SegmentOptions struct {
 	// Sync fsyncs every force-write cycle (and every segment seal).
 	Sync bool
-	// Codec selects the record encoding for newly written segments; nil
-	// selects BinaryCodec. Existing segments are read with the codec named
-	// in their header regardless of this setting.
-	Codec Codec
 	// SegmentBytes is the rotation threshold; a segment is sealed once the
 	// next batch would push it past this size. <= 0 selects
 	// DefaultSegmentBytes. A single batch larger than the threshold still
@@ -70,8 +66,6 @@ type SegmentOptions struct {
 // segMeta describes one segment file.
 type segMeta struct {
 	path    string
-	codec   Codec
-	legacy  bool // headerless JSON-lines file from the pre-segment era
 	sparse  bool // compaction rewrite: pinned records only, explicit LSNs
 	first   uint64
 	last    uint64 // == first-1 while empty
@@ -93,11 +87,10 @@ type segRecMeta struct {
 }
 
 // SegmentedLog is the production file backend: an append-only sequence of
-// rotated segment files with length-prefixed, CRC32-checksummed binary
-// frames (a versioned header names each segment's codec; headerless
-// JSON-lines files from the legacy FileLog era are still readable). It
-// group-commits exactly like the legacy FileLog, assigns a log sequence
-// number to every record, and supports checkpoint-driven compaction:
+// rotated segment files, each opening with a versioned header, holding
+// length-prefixed, CRC32-checksummed binary frames. It group-commits
+// concurrent appends, assigns a log sequence number to every record, and
+// supports checkpoint-driven compaction:
 // segments wholly below the replay horizon are deleted unless they hold a
 // Prepared record of a still-undecided transaction.
 type SegmentedLog struct {
@@ -138,12 +131,10 @@ type SegmentedLog struct {
 // OpenSegmented opens (creating if needed) a segmented log in dir. Existing
 // segments are scanned to rebuild the LSN sequence and the in-doubt pin
 // maps; a torn tail on the newest segment is truncated away; a fully framed
-// record with a bad CRC fails the open with ErrCorrupt. A fresh active
-// segment is always started, so mixed-codec directories reopen cleanly.
+// record with a bad CRC fails the open with ErrCorrupt, and so does a
+// segment file without a segment header or naming an unknown record
+// encoding. A fresh active segment is always started.
 func OpenSegmented(dir string, opts SegmentOptions) (*SegmentedLog, error) {
-	if opts.Codec == nil {
-		opts.Codec = BinaryCodec{}
-	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
@@ -237,8 +228,8 @@ func segName(first uint64) string {
 // scanSegment reads a segment from disk, returning its metadata and
 // records. When tail is true (the newest segment) an incomplete final frame
 // is truncated away — it is the torn remnant of a crash mid-force and was
-// never acknowledged. First LSNs come from the segment header; headerless
-// legacy JSON-lines files continue the running sequence.
+// never acknowledged. First LSNs come from the segment header; a file
+// without one is refused.
 func (l *SegmentedLog) scanSegment(path string, tail bool) (segMeta, []Record, error) {
 	m := segMeta{path: path, first: l.nextLSN}
 	f, err := os.Open(path)
@@ -260,80 +251,62 @@ func (l *SegmentedLog) scanSegment(path string, tail bool) (segMeta, []Record, e
 	if err != nil && err != io.ErrUnexpectedEOF {
 		return m, nil, fmt.Errorf("wal: read segment header %s: %w", path, err)
 	}
-	switch {
-	case n >= 8 && [8]byte(hdr[0:8]) == segMagic:
-		if n < segHeaderSize {
-			if !tail {
-				return m, nil, fmt.Errorf("wal: segment %s: truncated header", path)
-			}
-			m.last = m.first - 1
-			return m, nil, nil // torn header: nothing acknowledged
-		}
-		first := binary.LittleEndian.Uint64(hdr[8:16])
-		codec, err := codecByID(hdr[16])
-		if err != nil {
-			return m, nil, fmt.Errorf("wal: segment %s: %w", path, err)
-		}
-		sparse := hdr[17]&segFlagSparse != 0
-		if first < l.nextLSN {
-			if sparse {
-				// A crash between a sparse rewrite's rename and the removal of
-				// the original left both behind; the original (scanned first —
-				// lower first LSN, lower name) is a superset of this one. The
-				// sentinel travels wrapped in segment context like every other
-				// scan error, so callers must match it with errors.Is.
-				return m, nil, fmt.Errorf("wal: segment %s: %w", path, errRedundantSparse)
-			}
-			return m, nil, fmt.Errorf("wal: segment %s: first LSN %d overlaps sequence at %d", path, first, l.nextLSN)
-		}
-		m.first, m.codec, m.sparse = first, codec, sparse
-		var recs []Record
-		var validSize int64
-		if sparse {
-			recs, validSize, err = readSparseFrames(f, first, codec, segHeaderSize)
-		} else {
-			recs, validSize, err = readFrames(f, m.first, codec, segHeaderSize, tail)
-		}
-		if err != nil {
-			return m, nil, fmt.Errorf("wal: segment %s: %w", path, err)
-		}
-		if validSize < st.Size() {
-			if err := os.Truncate(path, validSize); err != nil {
-				return m, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
-			}
-		}
-		m.size = validSize
-		m.records = len(recs)
-		m.last = m.first + uint64(len(recs)) - 1
-		if sparse && len(recs) > 0 {
-			m.last = recs[len(recs)-1].LSN
-		}
-		return m, recs, nil
-	default:
-		// No magic: a legacy JSON-lines log (the pre-segment FileLog
-		// format) dropped into the directory. Read-only; LSNs continue the
-		// running sequence.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return m, nil, err
-		}
-		recs, err := readLegacyLines(f, m.first)
-		if err != nil {
-			return m, nil, fmt.Errorf("wal: legacy segment %s: %w", path, err)
-		}
-		m.legacy = true
-		m.codec = JSONCodec{}
-		m.size = st.Size()
-		m.records = len(recs)
-		m.last = m.first + uint64(len(recs)) - 1
-		return m, recs, nil
+	if magic := min(n, len(segMagic)); !bytes.Equal(hdr[:magic], segMagic[:magic]) {
+		return m, nil, fmt.Errorf("wal: %s is not a WAL segment (no segment header)", path)
 	}
+	if n < segHeaderSize {
+		if !tail {
+			return m, nil, fmt.Errorf("wal: segment %s: truncated header", path)
+		}
+		m.last = m.first - 1
+		return m, nil, nil // torn header: nothing acknowledged
+	}
+	first := binary.LittleEndian.Uint64(hdr[8:16])
+	if hdr[16] != codecIDBinary {
+		return m, nil, fmt.Errorf("wal: segment %s: unsupported record codec id %d", path, hdr[16])
+	}
+	sparse := hdr[17]&segFlagSparse != 0
+	if first < l.nextLSN {
+		if sparse {
+			// A crash between a sparse rewrite's rename and the removal of
+			// the original left both behind; the original (scanned first —
+			// lower first LSN, lower name) is a superset of this one. The
+			// sentinel travels wrapped in segment context like every other
+			// scan error, so callers must match it with errors.Is.
+			return m, nil, fmt.Errorf("wal: segment %s: %w", path, errRedundantSparse)
+		}
+		return m, nil, fmt.Errorf("wal: segment %s: first LSN %d overlaps sequence at %d", path, first, l.nextLSN)
+	}
+	m.first, m.sparse = first, sparse
+	var recs []Record
+	var validSize int64
+	if sparse {
+		recs, validSize, err = readSparseFrames(f, first, segHeaderSize)
+	} else {
+		recs, validSize, err = readFrames(f, m.first, segHeaderSize, tail)
+	}
+	if err != nil {
+		return m, nil, fmt.Errorf("wal: segment %s: %w", path, err)
+	}
+	if validSize < st.Size() {
+		if err := os.Truncate(path, validSize); err != nil {
+			return m, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
+		}
+	}
+	m.size = validSize
+	m.records = len(recs)
+	m.last = m.first + uint64(len(recs)) - 1
+	if sparse && len(recs) > 0 {
+		m.last = recs[len(recs)-1].LSN
+	}
+	return m, recs, nil
 }
 
 // readFrames parses framed records from r starting at LSN first. offset is
 // the file position of the first frame (for torn-tail truncation
 // reporting); tail enables torn-tail tolerance. It returns the records and
 // the file size up to the end of the last complete frame.
-func readFrames(r io.Reader, first uint64, codec Codec, offset int64, tail bool) ([]Record, int64, error) {
+func readFrames(r io.Reader, first uint64, offset int64, tail bool) ([]Record, int64, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var recs []Record
 	valid := offset
@@ -373,7 +346,7 @@ func readFrames(r io.Reader, first uint64, codec Codec, offset int64, tail bool)
 			// bitrot, not a torn write: refuse to silently drop forced data.
 			return recs, valid, fmt.Errorf("frame at offset %d (lsn %d): %w", valid, lsn, ErrCorrupt)
 		}
-		rec, err := codec.Decode(payload)
+		rec, err := decodeRecord(payload)
 		if err != nil {
 			return recs, valid, fmt.Errorf("frame at offset %d: %w", valid, err)
 		}
@@ -389,7 +362,7 @@ func readFrames(r io.Reader, first uint64, codec Codec, offset int64, tail bool)
 // increasing starting at the header's first LSN. Sparse segments are written
 // whole (temp file + rename), never appended to, so there is no torn-tail
 // tolerance: any truncation or checksum failure is corruption.
-func readSparseFrames(r io.Reader, first uint64, codec Codec, offset int64) ([]Record, int64, error) {
+func readSparseFrames(r io.Reader, first uint64, offset int64) ([]Record, int64, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var recs []Record
 	valid := offset
@@ -422,7 +395,7 @@ func readSparseFrames(r io.Reader, first uint64, codec Codec, offset int64) ([]R
 		if crc32.ChecksumIEEE(payload) != sum {
 			return recs, valid, fmt.Errorf("sparse frame at offset %d (lsn %d): %w", valid, lsn, ErrCorrupt)
 		}
-		rec, err := codec.Decode(payload)
+		rec, err := decodeRecord(payload)
 		if err != nil {
 			return recs, valid, fmt.Errorf("sparse frame at offset %d: %w", valid, err)
 		}
@@ -431,28 +404,6 @@ func readSparseFrames(r io.Reader, first uint64, codec Codec, offset int64) ([]R
 		recs = append(recs, rec)
 		valid += 8 + int64(frameHeaderSize) + int64(length)
 	}
-}
-
-// readLegacyLines parses a headerless JSON-lines log, tolerating a torn
-// final line exactly like the legacy FileLog reader.
-func readLegacyLines(r io.Reader, first uint64) ([]Record, error) {
-	var recs []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lsn := first
-	for sc.Scan() {
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			break // torn tail line: stop replay here
-		}
-		rec.LSN = lsn
-		lsn++
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil && err != io.EOF {
-		return recs, err
-	}
-	return recs, nil
 }
 
 // startSegmentLocked creates a fresh active segment at nextLSN. Callers
@@ -466,7 +417,7 @@ func (l *SegmentedLog) startSegmentLocked() error {
 	var hdr [segHeaderSize]byte
 	copy(hdr[0:8], segMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:16], l.nextLSN)
-	hdr[16] = l.opts.Codec.ID()
+	hdr[16] = codecIDBinary
 	l.f = f
 	l.w = bufio.NewWriter(f)
 	if _, err := l.w.Write(hdr[:]); err != nil {
@@ -475,7 +426,6 @@ func (l *SegmentedLog) startSegmentLocked() error {
 	}
 	l.active = segMeta{
 		path:  path,
-		codec: l.opts.Codec,
 		first: l.nextLSN,
 		last:  l.nextLSN - 1,
 		size:  segHeaderSize,
@@ -505,20 +455,15 @@ func (l *SegmentedLog) rotateLocked() error {
 // marshalFrames renders records as framed payloads plus tracking metadata;
 // marshalling happens in the caller's goroutine so the committer's cycle is
 // pure I/O.
-func (l *SegmentedLog) marshalFrames(recs []Record) ([]byte, []segRecMeta, error) {
-	var buf []byte
+func marshalFrames(recs []Record) ([]byte, []segRecMeta) {
+	var buf, scratch []byte
 	metas := make([]segRecMeta, 0, len(recs))
-	var scratch []byte
 	for i := range recs {
-		payload, err := l.opts.Codec.Append(scratch[:0], &recs[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		scratch = payload
-		buf = appendFrame(buf, payload)
+		scratch = appendRecord(scratch[:0], &recs[i])
+		buf = appendFrame(buf, scratch)
 		metas = append(metas, segRecMeta{typ: recs[i].Type, tx: recs[i].Tx})
 	}
-	return buf, metas, nil
+	return buf, metas
 }
 
 // Append implements Log.
@@ -533,10 +478,7 @@ func (l *SegmentedLog) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	payload, metas, err := l.marshalFrames(recs)
-	if err != nil {
-		return err
-	}
+	payload, metas := marshalFrames(recs)
 
 	l.mu.Lock()
 	if l.closed {
@@ -597,9 +539,8 @@ func (l *SegmentedLog) force(payload []byte, metas []segRecMeta) error {
 	return nil
 }
 
-// commitLoop is the group committer (same shape as the legacy FileLog's):
-// take the first parked request, greedily drain the rest, pay one
-// force-write for the merged batch.
+// commitLoop is the group committer: take the first parked request,
+// greedily drain the rest, pay one force-write for the merged batch.
 func (l *SegmentedLog) commitLoop() {
 	defer close(l.doneCh)
 	for {
@@ -667,21 +608,14 @@ func readSegmentFile(m segMeta, tail bool) ([]Record, error) {
 		return nil, fmt.Errorf("wal: reopen segment %s: %w", m.path, err)
 	}
 	defer f.Close()
-	if m.legacy {
-		recs, err := readLegacyLines(f, m.first)
-		if err != nil {
-			return nil, fmt.Errorf("wal: legacy segment %s: %w", m.path, err)
-		}
-		return recs, nil
-	}
 	if _, err := f.Seek(segHeaderSize, io.SeekStart); err != nil {
 		return nil, err
 	}
 	var recs []Record
 	if m.sparse {
-		recs, _, err = readSparseFrames(f, m.first, m.codec, segHeaderSize)
+		recs, _, err = readSparseFrames(f, m.first, segHeaderSize)
 	} else {
-		recs, _, err = readFrames(f, m.first, m.codec, segHeaderSize, tail)
+		recs, _, err = readFrames(f, m.first, segHeaderSize, tail)
 	}
 	if err != nil {
 		return recs, fmt.Errorf("wal: segment %s: %w", m.path, err)
@@ -738,11 +672,6 @@ func (l *SegmentedLog) Compact(horizon uint64) (int, error) {
 			continue
 		}
 		if pinInRange(pins, m.first, m.last) {
-			// Legacy JSON-lines segments are read-only artifacts; keep whole.
-			if m.legacy {
-				kept = append(kept, m)
-				continue
-			}
 			nm, err := l.rewriteSparse(m, pins)
 			if err != nil && firstErr == nil {
 				firstErr = err
@@ -794,20 +723,16 @@ func (l *SegmentedLog) rewriteSparse(m segMeta, pins []uint64) (segMeta, error) 
 	var hdr [segHeaderSize]byte
 	copy(hdr[0:8], segMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:16], keep[0].LSN)
-	hdr[16] = m.codec.ID()
+	hdr[16] = codecIDBinary
 	hdr[17] = segFlagSparse
 	buf = append(buf, hdr[:]...)
 	var scratch []byte
 	var lsnBuf [8]byte
 	for i := range keep {
-		payload, err := m.codec.Append(scratch[:0], &keep[i])
-		if err != nil {
-			return m, fmt.Errorf("wal: sparse rewrite encode %s: %w", m.path, err)
-		}
-		scratch = payload
+		scratch = appendRecord(scratch[:0], &keep[i])
 		binary.LittleEndian.PutUint64(lsnBuf[:], keep[i].LSN)
 		buf = append(buf, lsnBuf[:]...)
-		buf = appendFrame(buf, payload)
+		buf = appendFrame(buf, scratch)
 	}
 
 	tmp := m.path + segTmpSuffix
@@ -830,7 +755,6 @@ func (l *SegmentedLog) rewriteSparse(m segMeta, pins []uint64) (segMeta, error) 
 	l.rewrites.Add(1)
 	return segMeta{
 		path:    newPath,
-		codec:   m.codec,
 		sparse:  true,
 		first:   keep[0].LSN,
 		last:    keep[len(keep)-1].LSN,

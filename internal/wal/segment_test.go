@@ -34,52 +34,54 @@ func appendTxn(t *testing.T, l Log, seq uint64, commit bool) {
 	}
 }
 
+// TestSegmentedRoundTripBothCodecs runs the round trip once per record
+// codec a segment header may name; binary is the only one left.
 func TestSegmentedRoundTripBothCodecs(t *testing.T) {
-	for _, codec := range []Codec{BinaryCodec{}, JSONCodec{}} {
-		t.Run(codec.Name(), func(t *testing.T) {
-			dir := t.TempDir()
-			l := openSeg(t, dir, SegmentOptions{Codec: codec})
-			want := []Record{
-				sampleRecord(1),
-				{Type: RecDecision, Tx: model.TxID{Site: "S1", Seq: 1}, Commit: true},
-				{Type: RecEnd, Tx: model.TxID{Site: "S1", Seq: 1}},
-				{Type: RecCheckpoint, Horizon: 4},
+	t.Run("binary", testSegmentedRoundTrip)
+}
+
+func testSegmentedRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
+	want := []Record{
+		sampleRecord(1),
+		{Type: RecDecision, Tx: model.TxID{Site: "S1", Seq: 1}, Commit: true},
+		{Type: RecEnd, Tx: model.TxID{Site: "S1", Seq: 1}},
+		{Type: RecCheckpoint, Horizon: 4},
+	}
+	for _, r := range want {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(got []Record, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("got %d records, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].LSN != uint64(i+1) {
+				t.Errorf("record %d: LSN = %d, want %d", i, got[i].LSN, i+1)
 			}
-			for _, r := range want {
-				if err := l.Append(r); err != nil {
-					t.Fatal(err)
-				}
+			got[i].LSN = 0
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("record %d: got %+v, want %+v", i, got[i], want[i])
 			}
-			check := func(got []Record, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("got %d records, want %d", len(got), len(want))
-				}
-				for i := range want {
-					if got[i].LSN != uint64(i+1) {
-						t.Errorf("record %d: LSN = %d, want %d", i, got[i].LSN, i+1)
-					}
-					got[i].LSN = 0
-					if !reflect.DeepEqual(got[i], want[i]) {
-						t.Errorf("record %d: got %+v, want %+v", i, got[i], want[i])
-					}
-				}
-			}
-			check(l.ReadAll())
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			// Reopen: scan rebuilds the sequence and the records survive.
-			l2 := openSeg(t, dir, SegmentOptions{Codec: codec})
-			defer l2.Close()
-			check(l2.ReadAll())
-			if got := l2.DurableLSN(); got != 4 {
-				t.Errorf("DurableLSN after reopen = %d, want 4", got)
-			}
-		})
+		}
+	}
+	check(l.ReadAll())
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reopen: scan rebuilds the sequence and the records survive.
+	l2 := openSeg(t, dir, SegmentOptions{})
+	defer l2.Close()
+	check(l2.ReadAll())
+	if got := l2.DurableLSN(); got != 4 {
+		t.Errorf("DurableLSN after reopen = %d, want 4", got)
 	}
 }
 
@@ -276,39 +278,67 @@ func TestSegmentedCorruptCRCDetected(t *testing.T) {
 	}
 }
 
-func TestSegmentedReadsLegacyJSONLines(t *testing.T) {
+// TestSegmentedRejectsHeaderlessFile drops a segment-named file without a
+// segment header (a JSON-lines log, say) into the WAL directory: the open
+// must fail naming the file, never skip it or replay nothing.
+func TestSegmentedRejectsHeaderlessFile(t *testing.T) {
 	dir := t.TempDir()
-	// A legacy FileLog writes headerless JSON lines; drop one into the
-	// segment directory.
-	legacy := filepath.Join(dir, "00000000000000000000.seg")
-	fl, err := OpenFile(legacy, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := uint64(1); seq <= 3; seq++ {
-		appendTxn(t, fl, seq, true)
-	}
-	if err := fl.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	l := openSeg(t, dir, SegmentOptions{})
-	defer l.Close()
-	appendTxn(t, l, 4, true) // new records go to a binary segment
-	recs, err := l.ReadAll()
+	appendTxn(t, l, 1, true)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, segName(100))
+	if err := os.WriteFile(stray, []byte(`{"Type":1,"Tx":{"Site":"S1","Seq":2}}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenSegmented(dir, SegmentOptions{})
+	if err == nil || !strings.Contains(err.Error(), stray) {
+		t.Fatalf("open with a headerless segment: err = %v, want an error naming %s", err, stray)
+	}
+	if _, statErr := os.Stat(stray); statErr != nil {
+		t.Errorf("rejected file was touched: %v", statErr)
+	}
+}
+
+// TestSegmentedRejectsUnknownCodecID rewrites a segment header to name
+// record codec 2 (the retired JSON encoding): the open must fail naming the
+// file.
+func TestSegmentedRejectsUnknownCodecID(t *testing.T) {
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
+	appendTxn(t, l, 1, true)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 8 {
-		t.Fatalf("legacy + binary ReadAll: %d records, want 8", len(recs))
+	b, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range recs {
-		if r.LSN != uint64(i+1) {
-			t.Errorf("record %d: LSN = %d, want %d", i, r.LSN, i+1)
-		}
+	b[16] = 2
+	if err := os.WriteFile(paths[0], b, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if recs[0].Tx.Seq != 1 || recs[6].Tx.Seq != 4 {
-		t.Errorf("record order wrong: %+v", recs)
+	_, err = OpenSegmented(dir, SegmentOptions{})
+	if err == nil || !strings.Contains(err.Error(), paths[0]) {
+		t.Fatalf("open with a codec-2 segment: err = %v, want an error naming %s", err, paths[0])
+	}
+}
+
+// TestOpenSegmentedRejectsRegularFile: pointing the log at a regular file
+// (where a single-file log used to live) fails instead of opening anything.
+func TestOpenSegmentedRejectsRegularFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "site.wal")
+	if err := os.WriteFile(path, []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := OpenSegmented(path, SegmentOptions{}); err == nil {
+		l.Close()
+		t.Fatal("OpenSegmented on a regular file succeeded")
 	}
 }
 
@@ -393,32 +423,15 @@ func TestMemoryLogCompaction(t *testing.T) {
 	}
 }
 
-func TestCodecByName(t *testing.T) {
-	for name, want := range map[string]string{"": "binary", "binary": "binary", "json": "json"} {
-		c, err := CodecByName(name)
-		if err != nil || c.Name() != want {
-			t.Errorf("CodecByName(%q) = %v, %v", name, c, err)
-		}
-	}
-	if _, err := CodecByName("protobuf"); err == nil {
-		t.Error("CodecByName(protobuf) should fail")
-	}
-}
-
 func TestBinaryCodecCompactness(t *testing.T) {
 	r := sampleRecord(42)
-	bin, err := BinaryCodec{}.Append(nil, &r)
-	if err != nil {
-		t.Fatal(err)
+	bin := appendRecord(nil, &r)
+	// The record carries ~30 bytes of strings and a dozen small integers;
+	// a varint encoding must stay within a small constant of that.
+	if len(bin) > 64 {
+		t.Errorf("binary encoding of a two-write prepare is %dB, want <= 64B", len(bin))
 	}
-	js, err := JSONCodec{}.Append(nil, &r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bin) >= len(js) {
-		t.Errorf("binary encoding (%dB) not smaller than JSON (%dB)", len(bin), len(js))
-	}
-	got, err := BinaryCodec{}.Decode(bin)
+	got, err := decodeRecord(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,12 +442,9 @@ func TestBinaryCodecCompactness(t *testing.T) {
 
 func TestBinaryCodecRejectsTruncation(t *testing.T) {
 	r := sampleRecord(7)
-	payload, err := BinaryCodec{}.Append(nil, &r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := appendRecord(nil, &r)
 	for cut := 1; cut < len(payload); cut += 3 {
-		if _, err := (BinaryCodec{}).Decode(payload[:cut]); err == nil {
+		if _, err := decodeRecord(payload[:cut]); err == nil {
 			// Trailing fields (horizon) default to zero, so very deep cuts
 			// may legitimately parse; only complain when the cut removes
 			// required structure.

@@ -11,21 +11,17 @@
 // durability contract is unchanged — Append and AppendBatch return only
 // after the record's batch has been flushed (and fsynced when the log is in
 // sync mode), so a participant's yes-vote still implies a forced Prepared
-// record. Records remain one JSON line each; a crash mid-batch tears only
-// the final line, which recovery discards, replaying every complete record.
+// record.
 //
 // Two backends are provided: an in-memory log (used under the network
 // simulator, where a "crash" discards a site's volatile state but keeps its
-// log, exactly like a disk surviving a process crash) and a JSON-lines file
-// log for real multi-process deployments.
+// log, exactly like a disk surviving a process crash) and SegmentedLog, a
+// directory of CRC-framed binary segments for real multi-process
+// deployments (segment.go).
 package wal
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,7 +98,7 @@ type Record struct {
 	// read-only optimization is off). Quorum-based termination counts its
 	// majorities over this set — read-only participants release at vote
 	// time and must not dilute the quorum arithmetic.
-	Voters []model.SiteID `json:",omitempty"`
+	Voters []model.SiteID
 	// ThreePhase records which ACP state machine governs the transaction.
 	ThreePhase bool
 	// Writes are the records to install on commit (RecPrepared).
@@ -116,11 +112,11 @@ type Record struct {
 	// Horizon is the replay horizon pinned by a checkpoint record
 	// (RecCheckpoint): the first LSN recovery must redo on top of the
 	// checkpoint's snapshot.
-	Horizon uint64 `json:",omitempty"`
+	Horizon uint64
 	// LSN is the record's log sequence number. It is a position, not
 	// payload: LSN-aware logs assign it at append time and report it on
 	// reads; it is never serialized.
-	LSN uint64 `json:"-"`
+	LSN uint64
 }
 
 // Log is an append-only record log.
@@ -160,8 +156,7 @@ type Observable interface {
 }
 
 // Compactable is implemented by logs that assign log sequence numbers and
-// support checkpoint-driven compaction (SegmentedLog and MemoryLog; the
-// legacy single-file FileLog does not). The checkpoint manager drives it:
+// support checkpoint-driven compaction (SegmentedLog and MemoryLog). The checkpoint manager drives it:
 // a fuzzy snapshot at horizon H makes every record below H redundant for
 // redo, except Prepared records of still-undecided (in-doubt) transactions,
 // which must survive for ACP termination.
@@ -368,326 +363,4 @@ func (l *MemoryLog) BatchStats() (flushes, records uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.flushes, l.records
-}
-
-// ---- File backend ----
-
-// FileOptions configures a FileLog.
-type FileOptions struct {
-	// Sync fsyncs every force-write cycle — the textbook force-write; when
-	// false the log is flushed but not synced, trading durability for speed
-	// in classroom experiments.
-	Sync bool
-	// NoGroupCommit disables the committer goroutine: each append marshals,
-	// writes, flushes and fsyncs individually under the log mutex. Used by
-	// ablation benchmarks; production keeps group commit on.
-	NoGroupCommit bool
-}
-
-// batchReq is one caller's pre-marshalled payload parked on the committer.
-type batchReq struct {
-	payload []byte
-	records uint64
-	done    chan error // buffered(1)
-}
-
-// FileLog is a JSON-lines file-backed Log for real deployments.
-type FileLog struct {
-	opts FileOptions
-	path string
-
-	// mu guards the open/closed lifecycle; the committer goroutine owns the
-	// file handle and writer between Open and the post-shutdown Close steps.
-	mu       sync.Mutex
-	f        *os.File
-	w        *bufio.Writer
-	closed   bool
-	inflight sync.WaitGroup // appends accepted but not yet force-written
-	// ioMu serializes force-write cycles against ReadAll, so a reader can
-	// never observe a half-written batch as a torn tail. Lock order: mu or
-	// the committer's ownership first, then ioMu.
-	ioMu sync.Mutex
-
-	reqCh  chan *batchReq
-	stopCh chan struct{}
-	doneCh chan struct{} // closed when the committer has drained and exited
-
-	flushes  atomic.Uint64
-	records  atomic.Uint64
-	flushObs atomic.Pointer[FlushObserver]
-}
-
-// OpenFile opens (creating if needed) a group-committing file log at path.
-// When sync is true every force-write cycle is fsynced.
-func OpenFile(path string, sync bool) (*FileLog, error) {
-	return OpenFileWith(path, FileOptions{Sync: sync})
-}
-
-// OpenFileWith opens a file log with explicit options. A torn tail left by
-// a crash mid-force is truncated away first: appending after an unparsable
-// line would strand the new records beyond recovery's replay horizon.
-func OpenFileWith(path string, opts FileOptions) (*FileLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	if err := truncateTornTail(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	l := &FileLog{
-		opts: opts,
-		path: path,
-		f:    f,
-		w:    bufio.NewWriter(f),
-	}
-	if !opts.NoGroupCommit {
-		l.reqCh = make(chan *batchReq, 64)
-		l.stopCh = make(chan struct{})
-		l.doneCh = make(chan struct{})
-		go l.commitLoop()
-	}
-	return l, nil
-}
-
-// truncateTornTail chops the file back to the end of its last complete,
-// parsable record. Everything past that point is a torn batch tail from a
-// crash mid-force; replay would stop there anyway, and leaving it in place
-// would strand every record appended afterwards.
-func truncateTornTail(f *os.File) error {
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	valid := int64(0)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		end := valid + int64(len(line)) + 1 // +1 for the newline
-		if end > size {
-			// Final line lost its newline in the tear. A forced (acked)
-			// record always reaches disk with its newline, so this one was
-			// never acknowledged — drop it even if the JSON parses.
-			break
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			break
-		}
-		valid = end
-	}
-	if err := sc.Err(); err != nil {
-		// Do NOT truncate on scan errors (e.g. a line over the scanner
-		// cap): the bytes past `valid` might be an acknowledged oversized
-		// record, and destroying forced data is worse than failing the
-		// open loudly.
-		return err
-	}
-	if valid < size {
-		if err := f.Truncate(valid); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// marshalLines renders records as JSON lines; marshalling happens in the
-// caller's goroutine so the committer's cycle is pure I/O.
-func marshalLines(recs []Record) ([]byte, error) {
-	var buf []byte
-	for _, r := range recs {
-		b, err := json.Marshal(r)
-		if err != nil {
-			return nil, fmt.Errorf("wal: marshal record: %w", err)
-		}
-		buf = append(buf, b...)
-		buf = append(buf, '\n')
-	}
-	return buf, nil
-}
-
-// Append implements Log.
-func (l *FileLog) Append(r Record) error {
-	return l.AppendBatch([]Record{r})
-}
-
-// AppendBatch implements Log. With group commit enabled the call parks on
-// the committer and returns once its batch — possibly merged with other
-// concurrent appends — has been force-written.
-func (l *FileLog) AppendBatch(recs []Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	payload, err := marshalLines(recs)
-	if err != nil {
-		return err
-	}
-
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: append to closed log %s", l.path)
-	}
-	if l.opts.NoGroupCommit {
-		defer l.mu.Unlock()
-		return l.forceLocked(payload, uint64(len(recs)))
-	}
-	l.inflight.Add(1)
-	l.mu.Unlock()
-	defer l.inflight.Done()
-
-	req := &batchReq{payload: payload, records: uint64(len(recs)), done: make(chan error, 1)}
-	l.reqCh <- req
-	return <-req.done
-}
-
-// forceLocked writes payload through one buffer/flush/fsync cycle. Callers
-// either hold l.mu (no-group-commit path) or are the committer goroutine,
-// which owns the file handle exclusively while running; ioMu additionally
-// fences concurrent ReadAll scans out of the cycle.
-func (l *FileLog) forceLocked(payload []byte, records uint64) error {
-	l.ioMu.Lock()
-	defer l.ioMu.Unlock()
-	if obs := l.flushObs.Load(); obs != nil {
-		start := time.Now()
-		defer func() { (*obs)(time.Since(start), records) }()
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		return fmt.Errorf("wal: write %s: %w", l.path, err)
-	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: flush %s: %w", l.path, err)
-	}
-	if l.opts.Sync {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: sync %s: %w", l.path, err)
-		}
-	}
-	l.flushes.Add(1)
-	l.records.Add(records)
-	return nil
-}
-
-// commitLoop is the group committer: it takes the first parked request,
-// greedily drains every other request already waiting, concatenates their
-// payloads and pays one force-write for the whole batch.
-func (l *FileLog) commitLoop() {
-	defer close(l.doneCh)
-	for {
-		select {
-		case req := <-l.reqCh:
-			l.commitBatch(req)
-		case <-l.stopCh:
-			// Close waits for in-flight appends before stopping, so one
-			// final drain empties the channel.
-			for {
-				select {
-				case req := <-l.reqCh:
-					l.commitBatch(req)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// commitBatch coalesces req with everything else queued and force-writes
-// the merged payload, then reports the outcome to every parked caller.
-func (l *FileLog) commitBatch(first *batchReq) {
-	batch := []*batchReq{first}
-	payload := first.payload
-	records := first.records
-drain:
-	for {
-		select {
-		case req := <-l.reqCh:
-			batch = append(batch, req)
-			payload = append(payload, req.payload...)
-			records += req.records
-		default:
-			break drain
-		}
-	}
-	err := l.forceLocked(payload, records)
-	for _, req := range batch {
-		req.done <- err
-	}
-}
-
-// ReadAll implements Log. It tolerates a torn final line (a crash mid-write,
-// possibly mid-batch) by stopping replay there — every record completely
-// written before the tear is replayed, the standard recovery rule for
-// line-framed logs. Holding ioMu keeps the scan from racing a force-write
-// cycle and mistaking a half-written batch for a torn tail.
-func (l *FileLog) ReadAll() ([]Record, error) {
-	l.ioMu.Lock()
-	defer l.ioMu.Unlock()
-	f, err := os.Open(l.path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: reopen %s: %w", l.path, err)
-	}
-	defer f.Close()
-	var recs []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		var r Record
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			// Torn tail record: stop replay here.
-			break
-		}
-		recs = append(recs, r)
-	}
-	if err := sc.Err(); err != nil && err != io.EOF {
-		return recs, fmt.Errorf("wal: scan %s: %w", l.path, err)
-	}
-	return recs, nil
-}
-
-// BatchStats implements the BatchStats interface.
-func (l *FileLog) BatchStats() (flushes, records uint64) {
-	return l.flushes.Load(), l.records.Load()
-}
-
-// SetFlushObserver implements Observable.
-func (l *FileLog) SetFlushObserver(f FlushObserver) {
-	if f == nil {
-		l.flushObs.Store(nil)
-		return
-	}
-	l.flushObs.Store(&f)
-}
-
-// Close implements Log: it stops accepting appends, waits for the committer
-// to force every accepted batch, then flushes and closes the file. A failed
-// final flush is reported — silently dropping it would lose tail records.
-func (l *FileLog) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
-	l.closed = true
-	l.mu.Unlock()
-
-	if l.reqCh != nil {
-		l.inflight.Wait() // all accepted appends are parked or done
-		close(l.stopCh)
-		<-l.doneCh // committer drained the queue and exited
-	}
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	flushErr := l.w.Flush()
-	closeErr := l.f.Close()
-	l.f = nil
-	if flushErr != nil {
-		return fmt.Errorf("wal: flush %s on close: %w", l.path, flushErr)
-	}
-	return closeErr
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -56,22 +55,14 @@ func TestMemoryLog(t *testing.T) {
 	testLogBehaviour(t, NewMemory())
 }
 
-func TestFileLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSegmentedLog(t *testing.T) {
+	l := openSeg(t, t.TempDir(), SegmentOptions{})
 	defer l.Close()
 	testLogBehaviour(t, l)
 }
 
-func TestFileLogSynced(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSegmentedLogSynced(t *testing.T) {
+	l := openSeg(t, t.TempDir(), SegmentOptions{Sync: true})
 	defer l.Close()
 	testLogBehaviour(t, l)
 }
@@ -108,20 +99,14 @@ func TestMemoryLogIsolatesCallerSlices(t *testing.T) {
 	}
 }
 
-func TestFileLogSurvivesReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSegmentedSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
 	l.Append(sampleRecord(1))
 	l.Append(sampleRecord(2))
 	l.Close()
 
-	l2, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := openSeg(t, dir, SegmentOptions{})
 	defer l2.Close()
 	recs, err := l2.ReadAll()
 	if err != nil {
@@ -133,32 +118,44 @@ func TestFileLogSurvivesReopen(t *testing.T) {
 	// Appends continue after the existing tail.
 	l2.Append(sampleRecord(3))
 	recs, _ = l2.ReadAll()
-	if len(recs) != 3 {
-		t.Errorf("got %d records after append, want 3", len(recs))
+	if len(recs) != 3 || recs[2].LSN != 3 {
+		t.Errorf("got %d records after append, want 3 ending at LSN 3", len(recs))
 	}
 }
 
-func TestFileLogTornTailIgnored(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
+// newestSegment returns the path of the last segment file in dir.
+func newestSegment(t *testing.T, dir string) string {
+	t.Helper()
+	paths, err := listSegments(dir)
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("list segments: %v (%d found)", err, len(paths))
 	}
-	l.Append(sampleRecord(1))
-	l.Close()
+	return paths[len(paths)-1]
+}
 
-	// Simulate a crash mid-append: garbage partial line at the tail.
+// appendBytes simulates a crash mid-force: bytes of an unfinished frame at
+// the end of a segment.
+func appendBytes(t *testing.T, path string, b []byte) {
+	t.Helper()
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"Type":1,"Tx":{"Si`)
-	f.Close()
-
-	l2, err := OpenFile(path, false)
-	if err != nil {
+	defer f.Close()
+	if _, err := f.Write(b); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestSegmentedGarbageTailIgnored(t *testing.T) {
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
+	l.Append(sampleRecord(1))
+	l.Close()
+
+	appendBytes(t, newestSegment(t, dir), []byte{0x40, 0x00, 0x00}) // torn frame header
+
+	l2 := openSeg(t, dir, SegmentOptions{})
 	defer l2.Close()
 	recs, err := l2.ReadAll()
 	if err != nil {
@@ -169,12 +166,11 @@ func TestFileLogTornTailIgnored(t *testing.T) {
 	}
 }
 
+// The TestFileLog* checks below exercise the file-backed log, which is
+// SegmentedLog in its default single-directory layout.
+
 func TestFileLogAppendAfterCloseFails(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openSeg(t, t.TempDir(), SegmentOptions{})
 	l.Close()
 	if err := l.Append(sampleRecord(1)); err == nil {
 		t.Error("append after close should fail")
@@ -184,55 +180,9 @@ func TestFileLogAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
-func TestAppendBatch(t *testing.T) {
-	for name, open := range map[string]func(t *testing.T) Log{
-		"memory": func(*testing.T) Log { return NewMemory() },
-		"file": func(t *testing.T) Log {
-			l, err := OpenFile(filepath.Join(t.TempDir(), "site.wal"), false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return l
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			l := open(t)
-			defer l.Close()
-			if err := l.AppendBatch(nil); err != nil {
-				t.Errorf("empty batch: %v", err)
-			}
-			batch := []Record{sampleRecord(1), sampleRecord(2), sampleRecord(3)}
-			if err := l.AppendBatch(batch); err != nil {
-				t.Fatal(err)
-			}
-			recs, err := l.ReadAll()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range recs {
-				recs[i].LSN = 0
-			}
-			if len(recs) != 3 || !reflect.DeepEqual(recs, batch) {
-				t.Errorf("ReadAll after AppendBatch: got %d records", len(recs))
-			}
-			bs, ok := l.(BatchStats)
-			if !ok {
-				t.Fatal("log should expose BatchStats")
-			}
-			flushes, records := bs.BatchStats()
-			if flushes != 1 || records != 3 {
-				t.Errorf("BatchStats = (%d, %d), want (1, 3)", flushes, records)
-			}
-		})
-	}
-}
-
 func TestFileLogGroupCommitCoalesces(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{Sync: true})
 	const appenders, perG = 8, 25
 	var wg sync.WaitGroup
 	for g := 0; g < appenders; g++ {
@@ -266,10 +216,7 @@ func TestFileLogGroupCommitCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every record survives the close and is replayed in order.
-	l2, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := openSeg(t, dir, SegmentOptions{})
 	defer l2.Close()
 	recs, err = l2.ReadAll()
 	if err != nil {
@@ -280,15 +227,59 @@ func TestFileLogGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestFileLogTornBatchTailRecovery simulates a crash mid-way through a
+func TestFileLogNoGroupCommit(t *testing.T) {
+	l := openSeg(t, t.TempDir(), SegmentOptions{NoGroupCommit: true})
+	defer l.Close()
+	testLogBehaviour(t, l)
+	flushes, records := l.BatchStats()
+	if flushes != records {
+		t.Errorf("direct path should force per record: flushes %d, records %d", flushes, records)
+	}
+}
+
+func TestAppendBatch(t *testing.T) {
+	for name, open := range map[string]func(t *testing.T) Log{
+		"memory": func(*testing.T) Log { return NewMemory() },
+		"file":   func(t *testing.T) Log { return openSeg(t, t.TempDir(), SegmentOptions{}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			l := open(t)
+			defer l.Close()
+			if err := l.AppendBatch(nil); err != nil {
+				t.Errorf("empty batch: %v", err)
+			}
+			batch := []Record{sampleRecord(1), sampleRecord(2), sampleRecord(3)}
+			if err := l.AppendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			recs, err := l.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range recs {
+				recs[i].LSN = 0
+			}
+			if len(recs) != 3 || !reflect.DeepEqual(recs, batch) {
+				t.Errorf("ReadAll after AppendBatch: got %d records", len(recs))
+			}
+			bs, ok := l.(BatchStats)
+			if !ok {
+				t.Fatal("log should expose BatchStats")
+			}
+			flushes, records := bs.BatchStats()
+			if flushes != 1 || records != 3 {
+				t.Errorf("BatchStats = (%d, %d), want (1, 3)", flushes, records)
+			}
+		})
+	}
+}
+
+// TestSegmentedTornBatchTailRecovery simulates a crash mid-way through a
 // group-commit batch flush: the final record is torn, and replay must
 // return every record completely written before the tear.
-func TestFileLogTornBatchTailRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSegmentedTornBatchTailRecovery(t *testing.T) {
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
 	if err := l.Append(sampleRecord(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -299,19 +290,17 @@ func TestFileLogTornBatchTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the batch: chop the tail mid-way through the last record's line.
-	b, err := os.ReadFile(path)
+	// Tear the batch: chop the tail mid-way through the last record's frame.
+	path := newestSegment(t, dir)
+	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, b[:len(b)-17], 0o644); err != nil {
+	if err := os.Truncate(path, st.Size()-17); err != nil {
 		t.Fatal(err)
 	}
 
-	l2, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := openSeg(t, dir, SegmentOptions{})
 	defer l2.Close()
 	recs, err := l2.ReadAll()
 	if err != nil {
@@ -327,41 +316,27 @@ func TestFileLogTornBatchTailRecovery(t *testing.T) {
 	}
 }
 
-// TestFileLogReopenTruncatesTornTail checks that opening a log with a torn
-// tail removes the tear before new appends: otherwise records written after
-// the garbage line would be stranded beyond replay's stop-at-tear horizon
+// TestSegmentedReopenTruncatesTornTail checks that opening a log with a
+// torn tail removes the tear before new appends: otherwise records written
+// after the garbage would be stranded beyond replay's stop-at-tear horizon
 // and silently lost by the next recovery.
-func TestFileLogReopenTruncatesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSegmentedReopenTruncatesTornTail(t *testing.T) {
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
 	if err := l.Append(sampleRecord(1)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
 
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"Type":1,"Tx":{"Si`) // crash mid-force
-	f.Close()
+	appendBytes(t, newestSegment(t, dir), []byte{0x40, 0x00, 0x00, 0x00, 0x12}) // crash mid-force
 
-	l2, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := openSeg(t, dir, SegmentOptions{})
 	if err := l2.Append(sampleRecord(2)); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
 
-	l3, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l3 := openSeg(t, dir, SegmentOptions{})
 	defer l3.Close()
 	recs, err := l3.ReadAll()
 	if err != nil {
@@ -372,36 +347,32 @@ func TestFileLogReopenTruncatesTornTail(t *testing.T) {
 	}
 }
 
-// TestFileLogOpenDropsUnterminatedFinalRecord: a final line that parses but
-// lacks its newline was never acknowledged (the force includes the newline),
-// so open must drop it rather than let the next append glue onto it.
-func TestFileLogOpenDropsUnterminatedFinalRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSegmentedOpenDropsPartialFinalFrame: a final frame missing only its
+// last payload byte was never acknowledged (the force writes whole frames),
+// so open must drop it rather than let the next append land behind it.
+func TestSegmentedOpenDropsPartialFinalFrame(t *testing.T) {
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
 	l.Append(sampleRecord(1))
 	l.Close()
 
+	path := newestSegment(t, dir)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Duplicate the record without its trailing newline: parsable, torn.
-	if err := os.WriteFile(path, append(b, b[:len(b)-1]...), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	frame := b[segHeaderSize:]
+	// Duplicate the record's frame without its final byte: torn.
+	appendBytes(t, path, frame[:len(frame)-1])
 
-	l2, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
+	l2 := openSeg(t, dir, SegmentOptions{})
 	if err := l2.Append(sampleRecord(2)); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := l2.ReadAll()
+	l2.Close()
+	l3 := openSeg(t, dir, SegmentOptions{})
+	defer l3.Close()
+	recs, err := l3.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,26 +381,11 @@ func TestFileLogOpenDropsUnterminatedFinalRecord(t *testing.T) {
 	}
 }
 
-func TestFileLogNoGroupCommit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFileWith(path, FileOptions{NoGroupCommit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	testLogBehaviour(t, l)
-	flushes, records := l.BatchStats()
-	if flushes != records {
-		t.Errorf("direct path should force per record: flushes %d, records %d", flushes, records)
-	}
-}
-
-func TestFileLogCloseDuringConcurrentAppends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSegmentedCloseDuringConcurrentAppends races Close against appenders:
+// every append that reported success must be durable across a reopen.
+func TestSegmentedCloseDuringConcurrentAppends(t *testing.T) {
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
 	var wg sync.WaitGroup
 	accepted := make(chan uint64, 128)
 	for g := 0; g < 4; g++ {
@@ -452,11 +408,7 @@ func TestFileLogCloseDuringConcurrentAppends(t *testing.T) {
 	for seq := range accepted {
 		want[seq] = true
 	}
-	// Every append that reported success must be durable.
-	l2, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := openSeg(t, dir, SegmentOptions{})
 	defer l2.Close()
 	recs, err := l2.ReadAll()
 	if err != nil {
@@ -486,11 +438,7 @@ func TestRecTypeString(t *testing.T) {
 }
 
 func TestRecordRoundTripQuick(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "quick.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openSeg(t, t.TempDir(), SegmentOptions{})
 	defer l.Close()
 	n := 0
 	f := func(seq uint64, item string, val int64, commit bool) bool {

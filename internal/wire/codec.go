@@ -1,5 +1,5 @@
 // Typed body codec: the compact binary encoding for message bodies and the
-// kind→constructor registry that replaces blanket gob registration.
+// kind→constructor registry.
 //
 // Every body implements Body: it knows its canonical kind, appends its
 // binary encoding to a caller-supplied buffer, and decodes itself from one.
@@ -20,12 +20,10 @@
 //     receiver that does not know a kind drops the message, it never
 //     misdecodes one.
 //
-// The codec is negotiated per connection (see internal/tcpnet): peers open
-// with a CodecHello and fall back to gob for peers that never say hello, so
-// old binaries interoperate. Cold-path bodies with deeply nested payloads
-// (catalogs, stats dumps) keep gob under the typed surface via AppendGob/
-// DecodeGob — negotiation and the Body API are uniform, only their bytes
-// stay self-describing.
+// Cold-path bodies with deeply nested payloads (catalogs, stats dumps,
+// histories) encode their bytes with gob under the same Body API via
+// AppendGob/DecodeGob: one fixed, self-describing encoding, not worth a
+// hand-rolled encoder that every new stat would have to be added to.
 package wire
 
 import (
@@ -39,44 +37,8 @@ import (
 	"repro/internal/model"
 )
 
-// CodecID identifies a body encoding on the wire.
-type CodecID uint8
-
-const (
-	// CodecGob is the legacy reflection codec: self-describing, slow, and
-	// what every peer speaks — the negotiation fallback.
-	CodecGob CodecID = 0
-	// CodecBinary is the compact hand-rolled codec defined in this file.
-	CodecBinary CodecID = 1
-)
-
-// String names the codec for stats, metrics and logs.
-func (c CodecID) String() string {
-	switch c {
-	case CodecGob:
-		return "gob"
-	case CodecBinary:
-		return "binary"
-	}
-	return fmt.Sprintf("CodecID(%d)", uint8(c))
-}
-
-// CodecByName resolves a codec knob value ("binary" or "gob"; empty selects
-// binary, the default).
-func CodecByName(name string) (CodecID, error) {
-	switch name {
-	case "", "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	}
-	return 0, fmt.Errorf("wire: unknown codec %q (want binary or gob)", name)
-}
-
 // Body is implemented by every message body. Implementations use pointer
-// receivers: DecodeFrom mutates, and passing *T keeps gob's encoding of the
-// fallback path byte-identical to the historical value encodes (gob
-// flattens the pointer).
+// receivers: DecodeFrom mutates.
 type Body interface {
 	// Kind returns the body's canonical message kind. Some bodies serve
 	// several kinds (PingReq doubles as the empty stats/history request), so
@@ -90,21 +52,15 @@ type Body interface {
 	DecodeFrom(b []byte) error
 }
 
-// Payload is the received view of a body: the raw bytes plus the codec they
-// were encoded with. Handlers decode it into the typed body for the
-// envelope's kind.
+// Payload is the received view of a body: the raw encoded bytes. Handlers
+// decode it into the typed body for the envelope's kind.
 type Payload struct {
-	Codec CodecID
 	Bytes []byte
 }
 
-// Decode decodes the payload into the typed body, dispatching on the codec
-// it arrived under.
+// Decode decodes the payload into the typed body.
 func (p Payload) Decode(into Body) error {
-	if p.Codec == CodecBinary {
-		return into.DecodeFrom(p.Bytes)
-	}
-	return Unmarshal(p.Bytes, into)
+	return into.DecodeFrom(p.Bytes)
 }
 
 // ---- Kind → constructor registry ----
@@ -117,7 +73,7 @@ type bodyKey struct {
 var bodyCtors = map[bodyKey]func() Body{}
 
 // RegisterBody records the constructor for the body type carried by (kind,
-// reply) envelopes — the typed replacement for gob.Register. It must be
+// reply) envelopes. It must be
 // called during package initialization (the map is read lock-free
 // afterwards); packages owning cold-path bodies (site stats, nameserver
 // catalogs) register theirs alongside the wire kinds registered here.
@@ -167,9 +123,9 @@ func RegisteredBodyKinds() []struct {
 
 // ---- Gob escape hatch ----
 
-// gobBufPool recycles encode buffers across Marshal/AppendGob calls: the
-// gob fallback still builds a fresh encoder per message (that is the cost
-// the binary codec retires), but at least the buffer churn is gone.
+// gobBufPool recycles AppendGob's encode buffers: each call still builds a
+// fresh encoder (gob streams are self-describing), but the buffer churn is
+// gone.
 var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // AppendGob appends the gob encoding of v to buf — the escape hatch for
@@ -190,7 +146,10 @@ func AppendGob(buf []byte, v any) []byte {
 
 // DecodeGob decodes a gob payload produced by AppendGob into v.
 func DecodeGob(b []byte, v any) error {
-	return Unmarshal(b, v)
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
+		return fmt.Errorf("wire: gob decode %T: %w", v, err)
+	}
+	return nil
 }
 
 // ---- Encoding helpers ----
@@ -339,8 +298,8 @@ func (r *bodyReader) version() byte {
 // ---- Hand-rolled encoders, one pair per body ----
 //
 // Collections encode as a uvarint count followed by the elements; a zero
-// count decodes to a nil slice/map, matching gob's round-trip of empty
-// collections so the two codecs are semantically interchangeable.
+// count decodes to a nil slice/map, so every encoding has one canonical
+// decoded form.
 
 func (b *ErrorBody) Kind() MsgKind { return KindError }
 
@@ -891,29 +850,6 @@ func (b *SubmitTxResp) DecodeFrom(p []byte) error {
 	return r.err
 }
 
-// HelloBody is the codec-negotiation handshake (KindCodecHello): each side
-// of a batched connection announces the body codec it accepts right after
-// the frame magic. Peers that predate negotiation simply drop the unknown
-// kind — their absence of a hello is what keeps the connection on gob.
-type HelloBody struct {
-	// Codec is the richest codec the sender accepts for inbound bodies.
-	Codec CodecID
-}
-
-func (b *HelloBody) Kind() MsgKind { return KindCodecHello }
-
-func (b *HelloBody) AppendTo(buf []byte) []byte {
-	buf = append(buf, bodyVersion)
-	return append(buf, byte(b.Codec))
-}
-
-func (b *HelloBody) DecodeFrom(p []byte) error {
-	r := bodyReader{b: p}
-	r.version()
-	b.Codec = CodecID(r.byte())
-	return r.err
-}
-
 func init() {
 	// The typed registry: one constructor per (kind, reply) pair. Kinds
 	// whose requests are empty share PingReq (the canonical empty body).
@@ -948,5 +884,4 @@ func init() {
 	RegisterBody(KindGetStats, false, func() Body { return &PingReq{} })
 	RegisterBody(KindResetStats, false, func() Body { return &PingReq{} })
 	RegisterBody(KindGetHistory, false, func() Body { return &PingReq{} })
-	RegisterBody(KindCodecHello, false, func() Body { return &HelloBody{} })
 }

@@ -18,8 +18,8 @@ var ErrClosed = errors.New("wire: peer closed")
 // ServeFunc handles one inbound request and returns the response kind and
 // typed body. Returning an error sends a KindError reply carrying the
 // error's abort cause (if any) to the caller. req is the encoded request
-// payload plus the codec it arrived under; handlers decode it into the
-// typed body for the kind (req.Decode). tid is the request envelope's
+// payload; handlers decode it into the typed body for the kind
+// (req.Decode). tid is the request envelope's
 // trace ID (zero for the untraced common case); handlers doing traced work
 // join the distributed trace under it. ServeFunc runs on transport
 // goroutines and must be safe for concurrent use.
@@ -115,8 +115,7 @@ func (p *Peer) Close() error {
 // (a send into a channel with a slot reserved for this reply is the
 // intended use). If the peer closes first, onReply runs with nil. It never
 // runs if Start returns an error (nothing was sent) or after Forget. The
-// request body travels typed: the transport encodes it at flush time with
-// the connection's negotiated codec.
+// request body travels typed: the transport encodes it at flush time.
 func (p *Peer) Start(ctx context.Context, to model.SiteID, kind MsgKind, body Body, onReply func(*Envelope)) (uint64, error) {
 	corr := p.corr.Add(1)
 	p.mu.Lock()
@@ -179,13 +178,13 @@ func Collect[R any](ctx context.Context, replies <-chan R, n int, timeout time.D
 func DecodeReply(reply *Envelope, respBody Body) error {
 	if reply.Kind == KindError {
 		var eb ErrorBody
-		if err := (Payload{Codec: reply.Codec, Bytes: reply.Payload}).Decode(&eb); err != nil {
+		if err := (Payload{Bytes: reply.Payload}).Decode(&eb); err != nil {
 			return err
 		}
 		return eb.Err()
 	}
 	if respBody != nil {
-		return (Payload{Codec: reply.Codec, Bytes: reply.Payload}).Decode(respBody)
+		return (Payload{Bytes: reply.Payload}).Decode(respBody)
 	}
 	return nil
 }
@@ -268,14 +267,14 @@ func (p *Peer) handle(env *Envelope) {
 		// One-way cast: dispatch, discard result. Casts run the same
 		// ServeFunc, so they may block just like requests.
 		if p.serve != nil {
-			go p.serve(env.From, trace.ID(env.Trace), env.Kind, Payload{Codec: env.Codec, Bytes: env.Payload}) //nolint:errcheck
+			go p.serve(env.From, trace.ID(env.Trace), env.Kind, Payload{Bytes: env.Payload}) //nolint:errcheck
 		}
 		return
 	}
 
 	if af := p.async.Load(); af != nil {
 		from, corr, tid := env.From, env.Corr, env.Trace
-		if (*af)(env.From, trace.ID(env.Trace), env.Kind, Payload{Codec: env.Codec, Bytes: env.Payload}, func(kind MsgKind, body Body, err error) {
+		if (*af)(env.From, trace.ID(env.Trace), env.Kind, Payload{Bytes: env.Payload}, func(kind MsgKind, body Body, err error) {
 			p.sendReply(from, corr, tid, kind, body, err)
 		}) {
 			return // the pipeline owns the reply now
@@ -296,7 +295,7 @@ func (p *Peer) serveSync(env *Envelope) {
 	if p.serve == nil {
 		err = fmt.Errorf("node %s does not serve requests", p.ep.ID())
 	} else {
-		kind, body, err = p.serve(env.From, trace.ID(env.Trace), env.Kind, Payload{Codec: env.Codec, Bytes: env.Payload})
+		kind, body, err = p.serve(env.From, trace.ID(env.Trace), env.Kind, Payload{Bytes: env.Payload})
 	}
 	p.sendReply(env.From, env.Corr, env.Trace, kind, body, err)
 }

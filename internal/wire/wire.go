@@ -1,8 +1,7 @@
 // Package wire defines Rainbow's wire protocol: typed message envelopes,
-// the body codecs (a compact hand-rolled binary codec and the legacy gob
-// fallback — see codec.go), the transport abstraction implemented by both
-// the simulated network (internal/simnet) and real TCP (internal/tcpnet),
-// and a request/response RPC peer with correlation IDs.
+// the compact binary body codec (see codec.go), the transport abstraction
+// implemented by both the simulated network (internal/simnet) and real TCP
+// (internal/tcpnet), and a request/response RPC peer with correlation IDs.
 //
 // Every message body — even on the in-process simulated network — is
 // encoded into Envelope.Payload before delivery. This gives three
@@ -11,14 +10,11 @@
 // statistics are meaningful; (2) no accidental pointer sharing between
 // sites; (3) the simulated and TCP transports carry byte-identical
 // traffic. Senders attach the typed Body and let the transport encode it
-// at flush time with the codec the connection negotiated (binary between
-// current peers, gob toward old ones).
+// at flush time.
 package wire
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/model"
@@ -77,11 +73,6 @@ const (
 	// stability).
 	KindTermQuery     // election: promise a ballot, report state + eb
 	KindTermPreDecide // elected initiator's pre-decision broadcast
-
-	// Codec negotiation (appended for wire-number stability): the first
-	// envelope of a batched connection direction announces the body codec
-	// the sender accepts (see HelloBody). Old peers drop the unknown kind.
-	KindCodecHello
 )
 
 var kindNames = map[MsgKind]string{
@@ -110,7 +101,6 @@ var kindNames = map[MsgKind]string{
 	KindResetStats:    "ResetStats",
 	KindGetHistory:    "GetHistory",
 	KindSubmitTx:      "SubmitTx",
-	KindCodecHello:    "CodecHello",
 }
 
 // String names the kind for logs and traces.
@@ -131,24 +121,16 @@ type Envelope struct {
 	Reply bool
 	// Trace is the sampled-transaction trace ID riding this request
 	// (trace.ID; zero — the overwhelmingly common case — means untraced
-	// and costs nothing on the wire: gob omits zero fields and the batched
-	// framing spends one flag bit). Receivers record their fragment of the
-	// distributed trace under this ID.
+	// and costs nothing on the wire beyond one flag bit). Receivers record
+	// their fragment of the distributed trace under this ID.
 	Trace uint64
-	// Payload is the encoded body (Codec says which encoding); its type is
-	// determined by Kind. Local senders leave it nil and attach Body
-	// instead — the transport encodes at flush time with the codec the
-	// connection negotiated.
+	// Payload is the binary-encoded body; its type is determined by Kind.
+	// Local senders leave it nil and attach Body instead — the transport
+	// encodes at flush time.
 	Payload []byte
 	// Body is the typed body before encoding. It never crosses the wire:
-	// transports flatten it into Payload (Flatten) and must nil it first on
-	// paths that gob-encode whole envelopes, so legacy streams stay
-	// byte-identical to pre-codec senders (gob omits nil/zero fields).
+	// transports encode it with Body.AppendTo (the simulator via Flatten).
 	Body Body
-	// Codec identifies Payload's encoding. Zero (CodecGob) matches every
-	// envelope from pre-codec peers; the batched framing carries it in a
-	// flag bit, and legacy gob connections only ever see gob payloads.
-	Codec CodecID
 }
 
 // Size returns the approximate on-wire size of the envelope in bytes,
@@ -158,70 +140,15 @@ func (e *Envelope) Size() int {
 	return len(e.From) + len(e.To) + 2 /*kind*/ + 8 /*corr*/ + 1 /*reply*/ + len(e.Payload)
 }
 
-// Flatten encodes Body into Payload with the given codec and nils Body, so
-// the envelope is safe to gob-encode whole (legacy framing) or deliver
-// across site boundaries (no pointer sharing). Envelopes without a Body —
-// pre-encoded or raw-payload ones — are left untouched.
-func (e *Envelope) Flatten(codec CodecID) error {
+// Flatten encodes Body into Payload and nils Body, so the envelope is safe
+// to deliver across site boundaries (no pointer sharing). Envelopes without
+// a Body — pre-encoded or raw-payload ones — are left untouched.
+func (e *Envelope) Flatten() {
 	if e.Body == nil {
-		return nil
+		return
 	}
-	if codec == CodecBinary {
-		e.Payload = e.Body.AppendTo(nil)
-	} else {
-		p, err := Marshal(e.Body)
-		if err != nil {
-			return err
-		}
-		e.Payload = p
-	}
-	e.Codec = codec
+	e.Payload = e.Body.AppendTo(nil)
 	e.Body = nil
-	return nil
-}
-
-// Reencode transcodes an already-flattened Payload to the given codec via
-// the body registry — the path for a binary-encoded envelope that must
-// leave on a gob-only connection. Envelopes already in the target codec
-// (or with nothing to transcode) are left untouched.
-func (e *Envelope) Reencode(codec CodecID) error {
-	if e.Codec == codec || len(e.Payload) == 0 {
-		return nil
-	}
-	body, ok := NewBody(e.Kind, e.Reply)
-	if !ok {
-		return fmt.Errorf("wire: no registered body for %v reply=%v", e.Kind, e.Reply)
-	}
-	if err := (Payload{Codec: e.Codec, Bytes: e.Payload}).Decode(body); err != nil {
-		return err
-	}
-	e.Body = body
-	return e.Flatten(codec)
-}
-
-// Marshal gob-encodes a message body into payload bytes — the negotiation
-// fallback codec. The encode buffer is pooled; the per-message encoder
-// (and its type-info resend) is inherent to gob and is exactly what the
-// binary codec retires from the hot path.
-func Marshal(body any) ([]byte, error) {
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(body); err != nil {
-		gobBufPool.Put(buf)
-		return nil, fmt.Errorf("wire: marshal %T: %w", body, err)
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	gobBufPool.Put(buf)
-	return out, nil
-}
-
-// Unmarshal gob-decodes payload bytes into the body pointed to by out.
-func Unmarshal(payload []byte, out any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
-		return fmt.Errorf("wire: unmarshal %T: %w", out, err)
-	}
-	return nil
 }
 
 // Handler consumes inbound envelopes. Transports invoke it on their own
@@ -265,7 +192,7 @@ type Network interface {
 
 // ---- Message bodies ----
 //
-// One struct per message kind. All fields exported for gob.
+// One struct per message kind; the binary encodings live in codec.go.
 
 // ErrorBody reports a remote failure, preserving the abort cause across the
 // wire so coordinators can classify aborts per protocol.
@@ -524,36 +451,4 @@ type SubmitTxReq struct {
 // SubmitTxResp returns the outcome of a synchronously executed transaction.
 type SubmitTxResp struct {
 	Outcome model.Outcome
-}
-
-func init() {
-	// Register bodies so gob handles them through any-typed surfaces too.
-	gob.Register(ErrorBody{})
-	gob.Register(OKBody{})
-	gob.Register(RegisterSiteReq{})
-	gob.Register(GetCatalogReq{})
-	gob.Register(PingReq{})
-	gob.Register(ReadCopyReq{})
-	gob.Register(ReadCopyResp{})
-	gob.Register(PreWriteReq{})
-	gob.Register(PreWriteResp{})
-	gob.Register(ReleaseTxReq{})
-	gob.Register(PrepareReq{})
-	gob.Register(VoteResp{})
-	gob.Register(PreCommitReq{})
-	gob.Register(DecisionMsg{})
-	gob.Register(AckMsg{})
-	gob.Register(EndTxMsg{})
-	gob.Register(GetEpochReq{})
-	gob.Register(EpochResp{})
-	gob.Register(DecisionReq{})
-	gob.Register(DecisionResp{})
-	gob.Register(TermStateReq{})
-	gob.Register(TermStateResp{})
-	gob.Register(TermQueryReq{})
-	gob.Register(TermQueryResp{})
-	gob.Register(TermPreDecideReq{})
-	gob.Register(TermPreDecideResp{})
-	gob.Register(SubmitTxReq{})
-	gob.Register(SubmitTxResp{})
 }

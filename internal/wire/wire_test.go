@@ -7,6 +7,8 @@ import (
 	"repro/internal/model"
 )
 
+// TestMarshalUnmarshalRoundTrip round-trips a nested value through the
+// gob encoding the cold-path bodies use (AppendGob/DecodeGob).
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	in := PrepareReq{
 		Tx:          model.TxID{Site: "S1", Seq: 7},
@@ -19,12 +21,12 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 		Participants: []model.SiteID{"S1", "S2", "S3"},
 		ThreePhase:   true,
 	}
-	payload, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
+	payload := AppendGob([]byte("prefix"), in)
+	if string(payload[:6]) != "prefix" {
+		t.Fatal("AppendGob clobbered the buffer it appends to")
 	}
 	var out PrepareReq
-	if err := Unmarshal(payload, &out); err != nil {
+	if err := DecodeGob(payload[6:], &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Tx != in.Tx || out.TS != in.TS || out.Coordinator != in.Coordinator ||
@@ -34,30 +36,30 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarshalRoundTripQuick round-trips random PreWriteReq values through
+// the binary body codec.
 func TestMarshalRoundTripQuick(t *testing.T) {
-	f := func(tx uint64, item string, val int64, ver uint64) bool {
+	f := func(tx uint64, item string, val int64, ver uint64, add bool) bool {
 		in := PreWriteReq{
 			Tx:    model.TxID{Site: "S", Seq: tx},
 			Item:  model.ItemID(item),
 			Value: val,
 			TS:    model.Timestamp{Time: ver, Site: "S"},
-		}
-		p, err := Marshal(in)
-		if err != nil {
-			return false
+			Add:   add,
 		}
 		var out PreWriteReq
-		return Unmarshal(p, &out) == nil && out == in
+		return out.DecodeFrom(in.AppendTo(nil)) == nil && out == in
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestUnmarshalError: garbage is a DecodeGob error, not a zero value.
 func TestUnmarshalError(t *testing.T) {
 	var out ReadCopyResp
-	if err := Unmarshal([]byte{0x01, 0x02}, &out); err == nil {
-		t.Error("garbage payload should fail to unmarshal")
+	if err := DecodeGob([]byte{0x01, 0x02}, &out); err == nil {
+		t.Error("garbage payload should fail to decode")
 	}
 }
 
